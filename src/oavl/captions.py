@@ -86,21 +86,11 @@ class CaptionBag:
     def signature(self) -> SeveritySignature:
         return self.captions[0].signature
 
-    def by_kind(self, kind: TemplateKind) -> Caption:
-        for caption in self.captions:
-            if caption.kind == kind:
-                return caption
-        raise KeyError(kind)
-
-
-def _feature_values(record: OaScoreRecord, name: str) -> Dict[str, int]:
-    return getattr(record, name)
-
 
 def _abnormality_sentences(record: OaScoreRecord, include_zero: bool) -> List[str]:
     sentences = []
     for name, display, comps in GRADED_FEATURES:
-        values = _feature_values(record, name)
+        values = getattr(record, name)
         entries = [
             f"{grade_word(values[c])} in {COMPARTMENT_NAMES[c]}"
             for c in comps
@@ -109,7 +99,7 @@ def _abnormality_sentences(record: OaScoreRecord, include_zero: bool) -> List[st
         if entries:
             sentences.append(f"{display}: " + ", ".join(entries) + ".")
     for name, display, comps in BOOLEAN_FEATURES:
-        values = _feature_values(record, name)
+        values = getattr(record, name)
         entries = []
         for c in comps:
             if values[c]:
@@ -125,13 +115,13 @@ def _location_phrases(record: OaScoreRecord, comp: str, include_zero: bool) -> L
     phrases = []
     for name, _display, comps in GRADED_FEATURES:
         if comp in comps:
-            g = _feature_values(record, name)[comp]
+            g = getattr(record, name)[comp]
             if include_zero or g > 0:
                 feature_text = "joint space narrowing" if name == "jsn" else name
                 phrases.append(f"{grade_word(g)} {feature_text}")
     for name, _display, comps in BOOLEAN_FEATURES:
         if comp in comps:
-            present = _feature_values(record, name)[comp]
+            present = getattr(record, name)[comp]
             if present:
                 phrases.append(f"sign of {name}")
             elif include_zero:

@@ -16,19 +16,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import Dict, List, Optional
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
-
-# Flat key space of the JSON config: synth + training + evaluation knobs.
-CONFIG_KEYS = {
-    "n", "height", "width", "noise_sigma", "max_shift", "seed", "ratios",
-    "epochs", "batch_size", "lr_image", "lr_text", "lr_projection",
-    "weight_decay", "neg_weight", "shuffle_prob", "include_zero_grades",
-    "k", "baseline_draws", "split",
-}
 
 
 class UsageError(ValueError):
@@ -47,7 +40,14 @@ def _load_config(path: Optional[str]) -> Dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = set(config) - CONFIG_KEYS
+    # imported here, after --threads is pinned: both modules load numpy
+    from .synth import SynthConfig
+    from .training import TrainConfig
+
+    # flat key space: synth + training fields plus the dataset and eval knobs
+    keys = {f.name for cls in (SynthConfig, TrainConfig) for f in fields(cls)}
+    keys |= {"n", "ratios", "k", "baseline_draws", "split"}
+    unknown = set(config) - keys
     if unknown:
         raise UsageError(f"unknown config key {sorted(unknown)[0]!r}")
     return config
@@ -60,6 +60,11 @@ def _merged(args: argparse.Namespace, config: Dict, key: str, default):
     if key in config:
         return config[key]
     return default
+
+
+def _build_config(cls, args: argparse.Namespace, config: Dict):
+    """A SynthConfig or TrainConfig from flags, then the config file, then field defaults."""
+    return cls(**{f.name: _merged(args, config, f.name, f.default) for f in fields(cls)})
 
 
 def _parse_ratios(value) -> tuple:
@@ -152,13 +157,7 @@ def _build_parser() -> _Parser:
 def _cmd_synth(args, config) -> int:
     from .synth import DEFAULT_DATASET_SIZE, DEFAULT_SPLIT_RATIOS, SynthConfig, generate_dataset
 
-    cfg = SynthConfig(
-        height=_merged(args, config, "height", 64),
-        width=_merged(args, config, "width", 64),
-        noise_sigma=_merged(args, config, "noise_sigma", 0.03),
-        max_shift=_merged(args, config, "max_shift", 2),
-        seed=_merged(args, config, "seed", 0),
-    )
+    cfg = _build_config(SynthConfig, args, config)
     ratios = _merged(args, config, "ratios", None)
     ratios = DEFAULT_SPLIT_RATIOS if ratios is None else _parse_ratios(ratios)
     n = _merged(args, config, "n", DEFAULT_DATASET_SIZE)
@@ -205,14 +204,7 @@ def _cmd_train(args, config) -> int:
     from .synth import read_manifest
     from .training import TrainConfig, fit, save_checkpoint
 
-    fields = (
-        "epochs", "batch_size", "lr_image", "lr_text", "lr_projection",
-        "weight_decay", "neg_weight", "shuffle_prob", "include_zero_grades", "seed",
-    )
-    defaults = TrainConfig()
-    cfg = TrainConfig(
-        **{name: _merged(args, config, name, getattr(defaults, name)) for name in fields}
-    )
+    cfg = _build_config(TrainConfig, args, config)
     manifest = read_manifest(args.manifest)
     log = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     model, report = fit(manifest, cfg, log=log)
@@ -226,7 +218,7 @@ def _cmd_train(args, config) -> int:
 
 def _load_eval_inputs(args):
     from .captions import build_vocabulary
-    from .synth import read_manifest, read_pgm
+    from .synth import read_manifest
     from .training import load_checkpoint
 
     checkpoint = load_checkpoint(args.checkpoint)

@@ -76,6 +76,36 @@ class EvalReport:
         return out
 
 
+# --- batched embedding ----------------------------------------------------------
+
+# Rows per encoder call when embedding a list; the graph of each batch is
+# dropped as soon as its embeddings are read out.
+EMBED_BATCH = 64
+
+
+def embed_images(model: DualEncoder, images: Sequence[np.ndarray]) -> np.ndarray:
+    """Projected embeddings [N, proj_dim] of [H, W] images."""
+    chunks = [
+        model.project(
+            model.encode_image(np.stack(images[s : s + EMBED_BATCH])[:, None]), "image"
+        ).data
+        for s in range(0, len(images), EMBED_BATCH)
+    ]
+    return np.concatenate(chunks) if chunks else np.zeros((0, model.cfg.proj_dim), model.dtype)
+
+
+def embed_texts(
+    model: DualEncoder, vocab: Vocabulary, texts: Sequence[str], project: bool = True
+) -> np.ndarray:
+    """Text embeddings: projected [N, proj_dim], or unprojected [N, embed_dim]."""
+    tokens = np.stack([tokenize(t, vocab, model.cfg.max_len) for t in texts])
+    chunks = []
+    for s in range(0, len(tokens), EMBED_BATCH):
+        embedded = model.encode_text(tokens[s : s + EMBED_BATCH])
+        chunks.append((model.project(embedded, "text") if project else embedded).data)
+    return np.concatenate(chunks)
+
+
 # --- zero-shot classification -----------------------------------------------
 
 
@@ -90,15 +120,9 @@ def class_prompts(kl: int, side: str) -> List[str]:
 
 def class_prompt_vectors(model: DualEncoder, vocab: Vocabulary, side: str) -> np.ndarray:
     """[5, proj_dim] unit vectors: per class, averaged projected prompt embeddings."""
-    vectors = []
-    for kl in range(N_CLASSES):
-        tokens = np.stack(
-            [tokenize(p, vocab, model.cfg.max_len) for p in class_prompts(kl, side)]
-        )
-        projected = model.project(model.encode_text(tokens), "text").data
-        mean = projected.mean(axis=0)
-        vectors.append(mean / (np.linalg.norm(mean) + 1e-8))
-    return np.stack(vectors)
+    prompts = [p for kl in range(N_CLASSES) for p in class_prompts(kl, side)]
+    projected = embed_texts(model, vocab, prompts).reshape(N_CLASSES, -1, model.cfg.proj_dim)
+    return np.stack([m / (np.linalg.norm(m) + 1e-8) for m in projected.mean(axis=1)])
 
 
 def classify_image_embeddings(image_proj: np.ndarray, class_vectors: np.ndarray) -> np.ndarray:
@@ -107,35 +131,22 @@ def classify_image_embeddings(image_proj: np.ndarray, class_vectors: np.ndarray)
     return np.argmax(sims, axis=1)
 
 
-def zero_shot_classify(
-    model: DualEncoder, image: np.ndarray, side: str, vocab: Vocabulary
-) -> int:
-    """Predicted KL class 0..4 for a single [H, W] image."""
-    proj = model.project(model.encode_image(image[None, None]), "image").data
-    return int(classify_image_embeddings(proj, class_prompt_vectors(model, vocab, side))[0])
-
-
 def zero_shot_eval(
     model: DualEncoder,
     entries: Sequence[ManifestEntry],
     images: Dict[str, np.ndarray],
     vocab: Vocabulary,
-    batch_size: int = 64,
 ) -> ZeroShotResult:
     """Confusion matrix and accuracy over a split."""
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     per_image = []
     class_vectors = {side: class_prompt_vectors(model, vocab, side) for side in ("left", "right")}
-    for start in range(0, len(entries), batch_size):
-        chunk = list(entries[start : start + batch_size])
-        batch = np.stack([images[e.record.id] for e in chunk])[:, None]
-        proj = model.project(model.encode_image(batch), "image").data
-        for row, entry in enumerate(chunk):
-            pred = int(
-                classify_image_embeddings(proj[row : row + 1], class_vectors[entry.record.side])[0]
-            )
-            confusion[entry.record.kl, pred] += 1
-            per_image.append({"id": entry.record.id, "kl": entry.record.kl, "predicted": pred})
+    proj = embed_images(model, [images[e.record.id] for e in entries])
+    for row, entry in enumerate(entries):
+        vectors = class_vectors[entry.record.side]
+        pred = int(classify_image_embeddings(proj[row : row + 1], vectors)[0])
+        confusion[entry.record.kl, pred] += 1
+        per_image.append({"id": entry.record.id, "kl": entry.record.kl, "predicted": pred})
     total = confusion.sum()
     accuracy = float(np.trace(confusion) / total) if total else 0.0
     return ZeroShotResult(accuracy=accuracy, confusion=confusion, per_image=per_image)
@@ -179,39 +190,6 @@ def bleu4(candidate: Sequence[str], reference: Sequence[str]) -> float:
     return bp * math.exp(log_sum / 4.0)
 
 
-def corpus_bleu4(pairs: Sequence[Tuple[Sequence[str], Sequence[str]]]) -> float:
-    """Corpus BLEU-4: clipped counts and lengths aggregate before combining."""
-    if not pairs:
-        raise ValueError("empty corpus")
-    clipped_totals = [0] * 4
-    count_totals = [0] * 4
-    cand_len = 0
-    ref_len = 0
-    for candidate, reference in pairs:
-        if not candidate or not reference:
-            raise ValueError("empty candidate or reference")
-        cand_len += len(candidate)
-        ref_len += len(reference)
-        for n in range(1, 5):
-            cand_counts = Counter(
-                tuple(candidate[i : i + n]) for i in range(len(candidate) - n + 1)
-            )
-            ref_counts = Counter(
-                tuple(reference[i : i + n]) for i in range(len(reference) - n + 1)
-            )
-            count_totals[n - 1] += sum(cand_counts.values())
-            clipped_totals[n - 1] += sum(
-                min(count, ref_counts[g]) for g, count in cand_counts.items()
-            )
-    log_sum = 0.0
-    for clipped, total in zip(clipped_totals, count_totals):
-        if clipped == 0 or total == 0:
-            return 0.0
-        log_sum += math.log(clipped / total)
-    bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
-    return bp * math.exp(log_sum / 4.0)
-
-
 def retrieval_eval(
     model: DualEncoder,
     entries: Sequence[ManifestEntry],
@@ -220,37 +198,16 @@ def retrieval_eval(
     k: int = 10,
     baseline_draws: int = 1000,
     seed: int = 0,
-    include_zero_grades: bool = True,
-    batch_size: int = 64,
 ) -> RetrievalResult:
     """Image->caption retrieval over the split's location-template captions.
 
     The pool holds one caption per entry; top-1 quality is BLEU-4 against
     the query's own caption, compared to a seeded uniform-draw baseline.
     """
-    pool_texts = [
-        render_caption(e.record, TemplateKind.LOCATION, include_zero_grades).text
-        for e in entries
-    ]
+    pool_texts = [render_caption(e.record, TemplateKind.LOCATION).text for e in entries]
     pool_words = [split_text(t) for t in pool_texts]
-    pool_tokens = np.stack([tokenize(t, vocab, model.cfg.max_len) for t in pool_texts])
-    pool_proj = np.concatenate(
-        [
-            model.project(model.encode_text(pool_tokens[s : s + batch_size]), "text").data
-            for s in range(0, len(entries), batch_size)
-        ]
-    )
-    image_proj = np.concatenate(
-        [
-            model.project(
-                model.encode_image(
-                    np.stack([images[e.record.id] for e in entries[s : s + batch_size]])[:, None]
-                ),
-                "image",
-            ).data
-            for s in range(0, len(entries), batch_size)
-        ]
-    )
+    pool_proj = embed_texts(model, vocab, pool_texts)
+    image_proj = embed_images(model, [images[e.record.id] for e in entries])
 
     k = min(k, len(entries))
     hits = {kk: 0 for kk in (1, 5, 10) if kk <= k}
@@ -319,8 +276,7 @@ def grad_cam(
     unknown = [w for w in words if vocab.index(w) == vocab.unk_index]
     if unknown:
         raise ValueError(f"prompt tokenization failure: unknown token {unknown[0]!r}")
-    tokens = tokenize(prompt, vocab, model.cfg.max_len)[None]
-    prompt_vec = model.project(model.encode_text(tokens), "text").data[0]
+    prompt_vec = embed_texts(model, vocab, [prompt])[0]
 
     acts, pooled = model.image_features(image[None, None])
     image_proj = model.project(pooled, "image")
@@ -359,7 +315,7 @@ def localization_score(saliency: SaliencyMap, region: GroundTruthRegion) -> floa
 # --- report export --------------------------------------------------------------
 
 
-def export_report(report: EvalReport, out_dir: str, images: Optional[Dict[str, np.ndarray]] = None) -> None:
+def export_report(report: EvalReport, out_dir: str) -> None:
     """Write report.json (sorted keys), confusion.csv, and saliency overlays."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -48,17 +48,7 @@ class ModelConfig:
         return self
 
     def to_json_dict(self) -> dict:
-        return {
-            "height": self.height,
-            "width": self.width,
-            "channels": list(self.channels),
-            "embed_dim": self.embed_dim,
-            "proj_dim": self.proj_dim,
-            "vocab_size": self.vocab_size,
-            "max_len": self.max_len,
-            "pad_index": self.pad_index,
-            "temperature_init": self.temperature_init,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModelConfig":

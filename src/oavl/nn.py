@@ -77,9 +77,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -106,34 +103,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # convenience arithmetic (wraps the functional ops below)
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 TensorLike = Union[Tensor, np.ndarray, float, int]
@@ -181,18 +150,6 @@ def add(a: TensorLike, b: TensorLike) -> Tensor:
     def backward(g):
         _accumulate(at, _unbroadcast(g, at.shape))
         _accumulate(bt, _unbroadcast(g, bt.shape))
-
-    out._backward = backward
-    return out
-
-
-def sub(a: TensorLike, b: TensorLike) -> Tensor:
-    at, bt = _pair_tensors(a, b)
-    out = Tensor(at.data - bt.data, parents=(at, bt))
-
-    def backward(g):
-        _accumulate(at, _unbroadcast(g, at.shape))
-        _accumulate(bt, _unbroadcast(-g, bt.shape))
 
     out._backward = backward
     return out
@@ -281,18 +238,6 @@ def exp(a: TensorLike) -> Tensor:
 
     def backward(g):
         _accumulate(at, g * value)
-
-    out._backward = backward
-    return out
-
-
-def sqrt(a: TensorLike) -> Tensor:
-    at = as_tensor(a)
-    value = np.sqrt(at.data)
-    out = Tensor(value, parents=(at,))
-
-    def backward(g):
-        _accumulate(at, g * 0.5 / np.maximum(value, np.finfo(value.dtype).tiny))
 
     out._backward = backward
     return out

@@ -9,7 +9,7 @@ them and synthetic images encode them pixel by pixel.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Tuple
 
 import numpy as np
@@ -77,50 +77,33 @@ class OaScoreRecord:
         return copy.deepcopy(self)
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "side": self.side,
-            "age": self.age,
-            "sex": self.sex,
-            "alignment": self.alignment,
-            "kl": self.kl,
-            "osteophytes": dict(self.osteophytes),
-            "sclerosis": dict(self.sclerosis),
-            "jsn": dict(self.jsn),
-            "attrition": dict(self.attrition),
-            "cysts": dict(self.cysts),
-            "chondrocalcinosis": dict(self.chondrocalcinosis),
-        }
+        # not dataclasses.asdict: it gives the same dict but deep-copies every
+        # scalar, which is far slower on the manifest-writing path
+        out = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        for name in _MAP_FIELDS:
+            out[name] = dict(out[name])
+        return out
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "OaScoreRecord":
         if not isinstance(obj, dict):
             raise ScoreValidationError("record", "expected a JSON object")
-        known = {
-            "id", "side", "age", "sex", "alignment", "kl", "osteophytes",
-            "sclerosis", "jsn", "attrition", "cysts", "chondrocalcinosis",
-        }
-        for key in known:
-            if key not in obj:
-                raise ScoreValidationError(key, "missing key")
-        extra = set(obj) - known
+        for name in _RECORD_FIELDS:
+            if name not in obj:
+                raise ScoreValidationError(name, "missing key")
+        extra = obj.keys() - _RECORD_FIELDS
         if extra:
             raise ScoreValidationError(sorted(extra)[0], "unknown key")
-        record = cls(
-            id=obj["id"],
-            side=obj["side"],
-            age=obj["age"],
-            sex=obj["sex"],
-            alignment=obj["alignment"],
-            kl=obj["kl"],
-            osteophytes=dict(obj["osteophytes"]),
-            sclerosis=dict(obj["sclerosis"]),
-            jsn=dict(obj["jsn"]),
-            attrition=dict(obj["attrition"]),
-            cysts=dict(obj["cysts"]),
-            chondrocalcinosis=dict(obj["chondrocalcinosis"]),
-        )
-        return validate_record(record)
+        record = validate_record(cls(**obj))
+        # the maps are known to be dicts only now; copy them so the record
+        # does not alias the caller's JSON
+        for name in _MAP_FIELDS:
+            setattr(record, name, dict(getattr(record, name)))
+        return record
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(OaScoreRecord))
+_MAP_FIELDS = ("osteophytes", "sclerosis", "jsn", "attrition", "cysts", "chondrocalcinosis")
 
 
 def _check_grade(field_name: str, value) -> None:

@@ -337,6 +337,8 @@ def read_pgm(path: str) -> np.ndarray:
         if maxval != 65535:
             raise ValueError(f"{path}: expected 16-bit PGM")
         raw = fh.read(w * h * 2)
+    if len(raw) != w * h * 2:
+        raise ValueError(f"{path}: payload holds {len(raw)} bytes, header says {w * h * 2}")
     values = np.frombuffer(raw, dtype=">u2").reshape(h, w)
     return (values.astype(np.float32) / 65535.0).astype(np.float32)
 

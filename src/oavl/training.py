@@ -27,7 +27,7 @@ from .captions import (
     shuffle_sentences,
     tokenize,
 )
-from .model import DualEncoder, ModelConfig, negative_caption_loss, similarity_matrix, total_loss
+from .model import DualEncoder, ModelConfig, similarity_matrix, total_loss
 from .scores import OaScoreRecord, perturb_negative, severity_signature
 from .seeding import make_rng
 from .synth import DatasetManifest, ManifestEntry, read_pgm
@@ -225,27 +225,14 @@ def matched_negative_cosine(
     neg_records: Sequence[OaScoreRecord],
     vocab: Vocabulary,
     include_zero_grades: bool = True,
-    batch_size: int = 64,
 ) -> float:
     """Mean cosine between matched positive/negative unprojected text embeddings."""
-    values = []
-    for start in range(0, len(records), batch_size):
-        chunk = slice(start, start + batch_size)
-        pos = np.stack(
-            [
-                tokenize(render_caption(r, k, include_zero_grades).text, vocab, model.cfg.max_len)
-                for r, k in zip(records[chunk], kinds[chunk])
-            ]
-        )
-        neg = np.stack(
-            [
-                tokenize(render_caption(r, k, include_zero_grades).text, vocab, model.cfg.max_len)
-                for r, k in zip(neg_records[chunk], kinds[chunk])
-            ]
-        )
-        cos = negative_caption_loss(model.encode_text(pos), model.encode_text(neg))
-        values.append(float(cos.data) * len(pos))
-    return sum(values) / len(records)
+
+    def unit_rows(batch: Sequence[OaScoreRecord]) -> np.ndarray:
+        texts = [render_caption(r, k, include_zero_grades).text for r, k in zip(batch, kinds)]
+        return nn.l2_normalize(evaluation.embed_texts(model, vocab, texts, project=False)).data
+
+    return float(np.mean(np.sum(unit_rows(records) * unit_rows(neg_records), axis=1)))
 
 
 def _probe_set(
@@ -343,7 +330,7 @@ class Checkpoint:
     epoch: int
 
 
-def _serialize_tensor(out: io.BytesIO, name: str, payload: bytes, dtype: int, dims: Sequence[int]) -> bytes:
+def _serialize_tensor(out: io.BytesIO, name: str, payload: bytes, dtype: int, dims: Sequence[int]) -> None:
     encoded = name.encode("utf-8")
     out.write(struct.pack("<H", len(encoded)))
     out.write(encoded)
@@ -351,7 +338,6 @@ def _serialize_tensor(out: io.BytesIO, name: str, payload: bytes, dtype: int, di
     for dim in dims:
         out.write(struct.pack("<I", dim))
     out.write(payload)
-    return payload
 
 
 def save_checkpoint(path: str, model: DualEncoder, cfg: TrainConfig, epoch: int) -> None:
@@ -393,8 +379,8 @@ def _read_exact(fh, count: int) -> bytes:
     return data
 
 
-def _read_checkpoint_tensors(path: str) -> Tuple[Dict[str, Tuple[int, Tuple[int, ...], bytes]], List[str]]:
-    """Parse and CRC-verify the file; returns tensors by name plus file order."""
+def _read_checkpoint_tensors(path: str) -> Dict[str, Tuple[int, Tuple[int, ...], bytes]]:
+    """Parse and CRC-verify the file; returns tensors by name, in file order."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -404,11 +390,13 @@ def _read_checkpoint_tensors(path: str) -> Tuple[Dict[str, Tuple[int, Tuple[int,
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         tensors: Dict[str, Tuple[int, Tuple[int, ...], bytes]] = {}
-        order: List[str] = []
         crc = 0
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, name_len).decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError("tensor name is not valid UTF-8") from exc
             dtype, rank = struct.unpack("<BB", _read_exact(fh, 2))
             dims = tuple(
                 struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank)
@@ -422,21 +410,24 @@ def _read_checkpoint_tensors(path: str) -> Tuple[Dict[str, Tuple[int, Tuple[int,
                 raise CheckpointError(f"unknown tensor dtype {dtype}")
             crc = zlib.crc32(payload, crc)
             tensors[name] = (dtype, dims, payload)
-            order.append(name)
         (stored_crc,) = struct.unpack("<I", _read_exact(fh, 4))
         if stored_crc != crc & 0xFFFFFFFF:
             raise CheckpointError("checksum mismatch: checkpoint is corrupted")
-    return tensors, order
+    return tensors
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read and verify a checkpoint; rejects bad magic, version, or checksum."""
-    tensors, _order = _read_checkpoint_tensors(path)
+    tensors = _read_checkpoint_tensors(path)
     if "meta.config_json" not in tensors:
         raise CheckpointError("checkpoint is missing its config")
-    meta = json.loads(tensors["meta.config_json"][2].decode("utf-8"))
-    model_cfg = ModelConfig.from_json_dict(meta["model"])
-    train_cfg = TrainConfig.from_json_dict(meta["train"])
+    try:
+        meta = json.loads(tensors["meta.config_json"][2].decode("utf-8"))
+        model_cfg = ModelConfig.from_json_dict(meta["model"])
+        train_cfg = TrainConfig.from_json_dict(meta["train"])
+        epoch = int(meta["epoch"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CheckpointError(f"malformed checkpoint config: {exc!r}") from exc
     model = DualEncoder(model_cfg, seed=train_cfg.seed)
     for name, p in model.parameters().items():
         for key, target in ((name, "param"), (f"optim.{name}.m", "m"), (f"optim.{name}.v", "v")):
@@ -456,13 +447,13 @@ def load_checkpoint(path: str) -> Checkpoint:
         if t_key not in tensors:
             raise CheckpointError(f"checkpoint is missing tensor {t_key!r}")
         p.t = int(np.frombuffer(tensors[t_key][2], dtype="<f4")[0])
-    return Checkpoint(model=model, train_config=train_cfg, epoch=int(meta["epoch"]))
+    return Checkpoint(model=model, train_config=train_cfg, epoch=epoch)
 
 
 def checkpoint_tensor_listing(path: str) -> List[Tuple[str, Tuple[int, ...], int]]:
     """(name, dims, payload CRC32) per tensor, in file order; verifies the file."""
-    tensors, order = _read_checkpoint_tensors(path)
+    tensors = _read_checkpoint_tensors(path)
     return [
-        (name, tensors[name][1], zlib.crc32(tensors[name][2]) & 0xFFFFFFFF)
-        for name in order
+        (name, dims, zlib.crc32(payload) & 0xFFFFFFFF)
+        for name, (_dtype, dims, payload) in tensors.items()
     ]

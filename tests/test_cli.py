@@ -1,10 +1,25 @@
+import io
 import json
 import os
+import struct
+import subprocess
+import sys
+import zlib
+from dataclasses import asdict
 
 import pytest
 
+import oavl
 from oavl.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from oavl.synth import read_manifest
+from oavl.synth import SynthConfig, read_manifest, read_pgm
+from oavl.training import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    TrainConfig,
+    _read_checkpoint_tensors,
+    _serialize_tensor,
+    load_checkpoint,
+)
 
 from conftest import make_record
 
@@ -36,6 +51,41 @@ def trained(tmp_path_factory, dataset_dir):
     )
     assert code == EXIT_OK
     return ckpt, report
+
+
+def test_import_leaves_numpy_unloaded():
+    # --threads must be pinned before numpy loads, so the CLI module may not load it
+    src = os.path.dirname(os.path.dirname(oavl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, oavl.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_config_file_may_set_every_config_field(tmp_path):
+    synth_cfg = SynthConfig(height=32, width=32, noise_sigma=0.02, max_shift=1, seed=4)
+    train_cfg = TrainConfig(
+        epochs=1, batch_size=4, lr_image=2e-4, lr_text=2e-3, lr_projection=3e-3,
+        weight_decay=0.0, neg_weight=0.25, shuffle_prob=0.0, include_zero_grades=False,
+        seed=4,
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**asdict(synth_cfg), **asdict(train_cfg), "n": 12}))
+    data = tmp_path / "data"
+    assert main(["--config", str(config), "synth", "--out-dir", str(data)]) == EXIT_OK
+    manifest = read_manifest(str(data / "manifest.jsonl"))
+    assert len(manifest.entries) == 12
+    assert read_pgm(manifest.resolve_image(manifest.entries[0])).shape == (32, 32)
+    ckpt = tmp_path / "model.bin"
+    code = main(
+        [
+            "--config", str(config), "train", "--manifest", str(data / "manifest.jsonl"),
+            "--out", str(ckpt), "--quiet",
+        ]
+    )
+    assert code == EXIT_OK
+    assert load_checkpoint(str(ckpt)).train_config == train_cfg
 
 
 class TestSynth:
@@ -75,12 +125,31 @@ class TestCaptions:
         assert code == EXIT_OK
         assert len(out.read_text().splitlines()) == 16 * 3
 
+    def test_malformed_record_is_validation_error(self, tmp_path):
+        obj = make_record().to_json_dict()
+        obj["osteophytes"] = 5
+        src = tmp_path / "record.json"
+        src.write_text(json.dumps(obj))
+        out = tmp_path / "captions.jsonl"
+        assert main(["captions", "--record", str(src), "--out", str(out)]) == EXIT_VALIDATION
+
     def test_needs_exactly_one_source(self, tmp_path):
         out = tmp_path / "c.jsonl"
         assert main(["captions", "--out", str(out)]) == EXIT_VALIDATION
 
 
 class TestTrain:
+    def test_malformed_manifest_record_is_io_error(self, dataset_dir, tmp_path):
+        lines = (dataset_dir / "manifest.jsonl").read_text().splitlines()
+        obj = json.loads(lines[0])
+        obj["osteophytes"] = 5
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join([json.dumps(obj)] + lines[1:]) + "\n")
+        ckpt = tmp_path / "m.bin"
+        code = main(["train", "--manifest", str(manifest), "--out", str(ckpt), "--quiet"])
+        assert code == EXIT_IO
+        assert not ckpt.exists()
+
     def test_missing_manifest_is_io_error(self, tmp_path):
         ckpt = tmp_path / "m.bin"
         code = main(
@@ -199,6 +268,84 @@ class TestEvalAndSaliency:
             ]
         )
         assert code == EXIT_IO
+
+
+def _with_meta(src, dst, edit):
+    """Copy a checkpoint with its config JSON edited and the checksum recomputed."""
+    tensors = _read_checkpoint_tensors(str(src))
+    meta = tensors["meta.config_json"][2]
+    meta = edit(json.loads(meta)) if callable(edit) else edit
+    if isinstance(meta, dict):
+        meta = json.dumps(meta).encode("utf-8")
+    tensors["meta.config_json"] = (1, (len(meta),), meta)
+    out = io.BytesIO()
+    out.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
+    crc = 0
+    for name, (dtype, dims, payload) in tensors.items():
+        _serialize_tensor(out, name, payload, dtype, dims)
+        crc = zlib.crc32(payload, crc)
+    dst.write_bytes(out.getvalue() + struct.pack("<I", crc))
+
+
+def _drop(key):
+    def edit(meta):
+        del meta[key]
+        return meta
+
+    return edit
+
+
+def _add_key(section, key):
+    def edit(meta):
+        meta[section][key] = 1
+        return meta
+
+    return edit
+
+
+MALFORMED_CONFIGS = {
+    "unknown-model-key": _add_key("model", "depth"),
+    "unknown-train-key": _add_key("train", "lr"),
+    "bad-json": b"{not json",
+    "not-utf8": b"\xff\xfe",
+    "missing-model": _drop("model"),
+    "missing-train": _drop("train"),
+    "missing-epoch": _drop("epoch"),
+}
+
+
+class TestMalformedCheckpoint:
+    def _eval(self, ckpt, dataset_dir, tmp_path):
+        return main(
+            [
+                "eval", "zero-shot", "--checkpoint", str(ckpt),
+                "--manifest", str(dataset_dir / "manifest.jsonl"),
+                "--out", str(tmp_path / "e"),
+            ]
+        )
+
+    def test_rewritten_checkpoint_still_loads(self, dataset_dir, trained, tmp_path):
+        ckpt, _ = trained
+        copy = tmp_path / "copy.bin"
+        _with_meta(ckpt, copy, lambda meta: meta)
+        assert self._eval(copy, dataset_dir, tmp_path) == EXIT_OK
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_is_io_error(self, case, dataset_dir, trained, tmp_path, capsys):
+        ckpt, _ = trained
+        bad = tmp_path / "bad.bin"
+        _with_meta(ckpt, bad, MALFORMED_CONFIGS[case])
+        assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
+        assert "malformed checkpoint config" in capsys.readouterr().err
+
+    def test_tensor_name_not_utf8_is_io_error(self, dataset_dir, trained, tmp_path):
+        ckpt, _ = trained
+        blob = bytearray(ckpt.read_bytes())
+        blob[18] = 0xFF  # first byte of the first tensor name; names are outside the CRC
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(blob))
+        assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
+        assert main(["inspect", str(bad)]) == EXIT_IO
 
 
 class TestInspect:

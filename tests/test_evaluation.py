@@ -5,20 +5,21 @@ import os
 import numpy as np
 import pytest
 
-from oavl.captions import TemplateKind, build_vocabulary, render_caption, split_text
+from oavl.captions import TemplateKind, build_vocabulary, render_caption, split_text, tokenize
 from oavl.evaluation import (
     EvalReport,
     SaliencyMap,
     ZeroShotResult,
     bleu4,
     class_prompt_vectors,
+    EMBED_BATCH,
     classify_image_embeddings,
-    corpus_bleu4,
+    embed_images,
+    embed_texts,
     export_report,
     grad_cam,
     localization_score,
     retrieve_topk,
-    zero_shot_classify,
     zero_shot_eval,
 )
 from oavl.model import DualEncoder, ModelConfig
@@ -118,18 +119,36 @@ class TestBleu:
             scores.append(bleu4(candidate, reference))
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
-    def test_corpus_singleton_equals_sentence(self):
-        rng = make_rng(51)
-        a = split_text(render_caption(sample_record(rng), TemplateKind.ABNORMALITY, True).text)
-        b = split_text(render_caption(sample_record(rng), TemplateKind.ABNORMALITY, True).text)
-        assert abs(corpus_bleu4([(a, b)]) - bleu4(a, b)) <= 1e-12
 
-    def test_corpus_aggregates_before_combining(self):
-        a = (list("abcd"), list("abcd"))
-        b = (list("wxyz"), list("qrst"))  # zero overlap alone
-        # corpus of a+b is positive (a's matches carry it), unlike mean of sentence scores
-        assert corpus_bleu4([a, b]) > 0.0
-        assert bleu4(*b) == 0.0
+class TestEmbed:
+    def test_embed_images_matches_one_at_a_time(self):
+        model = small_model(seed=3)
+        images = list(np.random.default_rng(1).random((70, 32, 32)).astype(np.float32))
+        assert len(images) > EMBED_BATCH
+        batched = embed_images(model, images)
+        single = np.concatenate(
+            [model.project(model.encode_image(im[None, None]), "image").data for im in images]
+        )
+        assert batched.shape == (70, model.cfg.proj_dim)
+        np.testing.assert_allclose(batched, single, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("project", [True, False])
+    def test_embed_texts_matches_one_at_a_time(self, project):
+        model = small_model(seed=5)
+        rng = make_rng(17)
+        kinds = list(TemplateKind)
+        texts = [
+            render_caption(sample_record(rng), kinds[i % len(kinds)]).text for i in range(70)
+        ]
+        batched = embed_texts(model, VOCAB, texts, project=project)
+        single = []
+        for text in texts:
+            tokens = tokenize(text, VOCAB, model.cfg.max_len)[None]
+            embedded = model.encode_text(tokens)
+            single.append((model.project(embedded, "text") if project else embedded).data)
+        width = model.cfg.proj_dim if project else model.cfg.embed_dim
+        assert batched.shape == (70, width)
+        np.testing.assert_allclose(batched, np.concatenate(single), rtol=0, atol=1e-6)
 
 
 class TestZeroShot:
@@ -152,12 +171,6 @@ class TestZeroShot:
         a = classify_image_embeddings(model.project(Tensor(base), "image").data, vectors)
         b = classify_image_embeddings(model.project(Tensor(7.0 * base), "image").data, vectors)
         assert np.array_equal(a, b)
-
-    def test_classify_single_image(self):
-        model = small_model(seed=3)
-        image = np.random.default_rng(1).random((32, 32)).astype(np.float32)
-        pred = zero_shot_classify(model, image, "left", VOCAB)
-        assert pred in range(5)
 
     def test_eval_confusion_consistency(self):
         model = small_model(seed=4)

@@ -66,6 +66,27 @@ class TestValidation:
         with pytest.raises(ScoreValidationError, match="unknown key"):
             OaScoreRecord.from_json_dict(obj)
 
+    def test_json_map_that_is_not_a_map_rejected(self):
+        obj = make_record().to_json_dict()
+        obj["osteophytes"] = 5
+        with pytest.raises(ScoreValidationError, match="compartment map") as exc:
+            OaScoreRecord.from_json_dict(obj)
+        assert exc.value.field == "osteophytes"
+
+    def test_json_first_missing_key_in_field_order(self):
+        obj = make_record().to_json_dict()
+        del obj["chondrocalcinosis"], obj["kl"], obj["sex"]
+        with pytest.raises(ScoreValidationError, match="missing key") as exc:
+            OaScoreRecord.from_json_dict(obj)
+        assert exc.value.field == "sex"
+
+    def test_json_record_does_not_alias_its_source(self):
+        obj = make_record().to_json_dict()
+        record = OaScoreRecord.from_json_dict(obj)
+        obj["jsn"]["jm"] = 4
+        assert record.jsn["jm"] == 0
+        assert record.to_json_dict()["jsn"] is not record.jsn
+
 
 class TestGradeWord:
     @pytest.mark.parametrize("grade,word", [(0, "no"), (2, "mild"), (4, "severe")])

@@ -161,6 +161,13 @@ class TestPgm:
         header = path.read_bytes()[:20]
         assert header.startswith(b"P5\n6 4\n65535\n")
 
+    def test_short_payload_names_the_file(self, tmp_path):
+        path = tmp_path / "short.pgm"
+        write_pgm(str(path), np.zeros((4, 4), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:-27])  # keep 5 of the 32 payload bytes
+        with pytest.raises(ValueError, match="short.pgm: payload holds 5 bytes, header says 32"):
+            read_pgm(str(path))
+
 
 class TestManifest:
     def _manifest(self, n=20):

@@ -3,9 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from oavl.captions import build_vocabulary
+from oavl.captions import TEMPLATE_ORDER, build_vocabulary, render_caption, tokenize
 from oavl.model import DualEncoder, ModelConfig
-from oavl.scores import sample_record, severity_signature
+from oavl.scores import perturb_negative, sample_record, severity_signature
 from oavl.seeding import make_rng
 from oavl.synth import ManifestEntry, SynthConfig, generate_dataset
 from oavl.training import (
@@ -16,6 +16,7 @@ from oavl.training import (
     epoch_plan,
     fit,
     load_checkpoint,
+    matched_negative_cosine,
     save_checkpoint,
     train_step,
 )
@@ -219,6 +220,26 @@ class TestFit:
         cfg = TrainConfig(epochs=20, batch_size=4, seed=13, neg_weight=0.5)
         _model, report = fit(small_dataset, cfg, tiny_model_cfg())
         assert report.final_neg_cosine < report.initial_neg_cosine - 0.05
+
+
+class TestProbe:
+    def test_matched_negative_cosine_is_mean_of_row_cosines(self):
+        model = DualEncoder(tiny_model_cfg(), seed=4)
+        rng = make_rng(21)
+        records = [sample_record(rng, f"p{i}") for i in range(70)]
+        kinds = [TEMPLATE_ORDER[i % len(TEMPLATE_ORDER)] for i in range(70)]
+        negatives = [perturb_negative(r, make_rng(22, r.id)) for r in records]
+
+        def embed(record, kind):
+            tokens = tokenize(render_caption(record, kind).text, VOCAB, model.cfg.max_len)
+            return model.encode_text(tokens[None]).data[0].astype(np.float64)
+
+        cosines = []
+        for record, kind, negative in zip(records, kinds, negatives):
+            a, b = embed(record, kind), embed(negative, kind)
+            cosines.append(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+        value = matched_negative_cosine(model, records, kinds, negatives, VOCAB)
+        assert abs(value - np.mean(cosines)) <= 1e-6
 
 
 class TestCheckpoint:
