@@ -16,11 +16,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .scores import (
-    ATTRITION_COMPARTMENTS,
-    BONE_COMPARTMENTS,
     COMPARTMENT_NAMES,
-    JOINT_COMPARTMENTS,
+    FEATURE_BY_NAME,
+    FEATURES,
     GRADE_WORDS,
+    Feature,
     OaScoreRecord,
     SeveritySignature,
     WORD_TO_GRADE,
@@ -42,16 +42,15 @@ class TemplateKind(str, Enum):
 
 TEMPLATE_ORDER = (TemplateKind.ABNORMALITY, TemplateKind.LOCATION, TemplateKind.OVERALL)
 
-# (record field, display name, compartment keys), in fixed narration order.
-GRADED_FEATURES = (
-    ("osteophytes", "Osteophytes", BONE_COMPARTMENTS),
-    ("sclerosis", "Sclerosis", BONE_COMPARTMENTS),
-    ("jsn", "Joint Space Narrowing", JOINT_COMPARTMENTS),
-    ("attrition", "Attrition", ATTRITION_COMPARTMENTS),
+# Narration order of the abnormality and location templates (chondrocalcinosis
+# before cysts, unlike the record's field order), and the overall template's
+# aggregate clauses in sentence order.
+_NARRATED = tuple(
+    FEATURE_BY_NAME[name]
+    for name in ("osteophytes", "sclerosis", "jsn", "attrition", "chondrocalcinosis", "cysts")
 )
-BOOLEAN_FEATURES = (
-    ("chondrocalcinosis", "Chondrocalcinosis", JOINT_COMPARTMENTS),
-    ("cysts", "Cysts", BONE_COMPARTMENTS),
+_AGGREGATED = tuple(
+    FEATURE_BY_NAME[name] for name in ("sclerosis", "cysts", "chondrocalcinosis", "osteophytes")
 )
 
 # Location-template traversal: joint first, then femur, then tibia,
@@ -87,45 +86,40 @@ class CaptionBag:
         return self.captions[0].signature
 
 
+def _state_word(feature: Feature, value) -> str:
+    """How a finding is stated: its grade word, or "sign" / "no sign" for a flag."""
+    if feature.graded:
+        return grade_word(value)
+    return "sign" if value else "no sign"
+
+
+def _stated_value(feature: Feature, word: str):
+    """Inverse of :func:`_state_word`."""
+    return WORD_TO_GRADE[word] if feature.graded else word == "sign"
+
+
 def _abnormality_sentences(record: OaScoreRecord, include_zero: bool) -> List[str]:
     sentences = []
-    for name, display, comps in GRADED_FEATURES:
-        values = getattr(record, name)
+    for feature in _NARRATED:
+        values = getattr(record, feature.name)
         entries = [
-            f"{grade_word(values[c])} in {COMPARTMENT_NAMES[c]}"
-            for c in comps
-            if include_zero or values[c] > 0
+            f"{_state_word(feature, values[c])} in {COMPARTMENT_NAMES[c]}"
+            for c in feature.compartments
+            if include_zero or values[c]
         ]
         if entries:
-            sentences.append(f"{display}: " + ", ".join(entries) + ".")
-    for name, display, comps in BOOLEAN_FEATURES:
-        values = getattr(record, name)
-        entries = []
-        for c in comps:
-            if values[c]:
-                entries.append(f"sign in {COMPARTMENT_NAMES[c]}")
-            elif include_zero:
-                entries.append(f"no sign in {COMPARTMENT_NAMES[c]}")
-        if entries:
-            sentences.append(f"{display}: " + ", ".join(entries) + ".")
+            sentences.append(f"{feature.words.title()}: " + ", ".join(entries) + ".")
     return sentences
 
 
 def _location_phrases(record: OaScoreRecord, comp: str, include_zero: bool) -> List[str]:
     phrases = []
-    for name, _display, comps in GRADED_FEATURES:
-        if comp in comps:
-            g = getattr(record, name)[comp]
-            if include_zero or g > 0:
-                feature_text = "joint space narrowing" if name == "jsn" else name
-                phrases.append(f"{grade_word(g)} {feature_text}")
-    for name, _display, comps in BOOLEAN_FEATURES:
-        if comp in comps:
-            present = getattr(record, name)[comp]
-            if present:
-                phrases.append(f"sign of {name}")
-            elif include_zero:
-                phrases.append(f"no sign of {name}")
+    for feature in _NARRATED:
+        if comp in feature.compartments:
+            value = getattr(record, feature.name)[comp]
+            if include_zero or value:
+                of = "" if feature.graded else " of"
+                phrases.append(f"{_state_word(feature, value)}{of} {feature.words}")
     return phrases
 
 
@@ -153,24 +147,13 @@ def _overall_sentences(record: OaScoreRecord, include_zero: bool) -> List[str]:
         f"Image shows {grade_word(record.kl)} osteoarthritis in the {record.side} knee."
     ]
     clauses = []
-    max_sclerosis = max(record.sclerosis.values())
-    if max_sclerosis > 0:
-        clauses.append(f"sign of {grade_word(max_sclerosis)} sclerosis")
-    elif include_zero:
-        clauses.append("no sign of sclerosis")
-    if any(record.cysts.values()):
-        clauses.append("sign of cysts")
-    elif include_zero:
-        clauses.append("no sign of cysts")
-    if any(record.chondrocalcinosis.values()):
-        clauses.append("sign of chondrocalcinosis")
-    elif include_zero:
-        clauses.append("no sign of chondrocalcinosis")
-    max_osteophytes = max(record.osteophytes.values())
-    if max_osteophytes > 0:
-        clauses.append(f"sign of {grade_word(max_osteophytes)} osteophytes")
-    elif include_zero:
-        clauses.append("no sign of osteophytes")
+    for feature in _AGGREGATED:
+        worst = max(getattr(record, feature.name).values())  # for flags: any present
+        if worst:
+            grade = f"{grade_word(worst)} " if feature.graded else ""
+            clauses.append(f"sign of {grade}{feature.words}")
+        elif include_zero:
+            clauses.append(f"no sign of {feature.words}")
     if clauses:
         sentences.append("It shows " + _join_clauses(clauses) + ".")
     return sentences
@@ -276,78 +259,58 @@ class ParsedScores:
     any_chondrocalcinosis: Optional[bool] = None
 
 
-_WORD = r"(no|early|mild|moderate|severe)"
-_BONE = r"(femur medial|femur lateral|tibia medial|tibia lateral)"
-_JOINT = r"(joint medial|joint lateral)"
-_ANY_LOC = r"(femur medial|femur lateral|tibia medial|tibia lateral|joint medial|joint lateral)"
+def _alternation(words) -> str:
+    return "(" + "|".join(words) + ")"
+
+
+_WORD = _alternation(GRADE_WORDS)
+_ANY_LOC = _alternation(COMPARTMENT_NAMES.values())
 
 _RE_KL = re.compile(rf"^{_WORD} osteoarthritis$")
 _RE_OVERALL_KL = re.compile(rf"^image shows {_WORD} osteoarthritis in the (left|right) knee$")
 _RE_IT_SHOWS = re.compile(r"^it shows (.+)$")
-_RE_FEATURE = re.compile(
-    r"^(osteophytes|sclerosis|joint space narrowing|attrition|chondrocalcinosis|cysts): (.+)$"
-)
+_RE_FEATURE = re.compile(rf"^{_alternation(f.words for f in FEATURES)}: (.+)$")
 _RE_GRADED_ENTRY = re.compile(rf"^{_WORD} in {_ANY_LOC}$")
 _RE_FLAG_ENTRY = re.compile(rf"^(sign|no sign) in {_ANY_LOC}$")
 _RE_LOCATION = re.compile(rf"^in {_ANY_LOC} compartment: (.+)$")
-_RE_LOC_GRADED = re.compile(rf"^{_WORD} (osteophytes|sclerosis|joint space narrowing|attrition)$")
-_RE_LOC_FLAG = re.compile(r"^(sign|no sign) of (chondrocalcinosis|cysts)$")
-_RE_AGG_GRADED = re.compile(rf"^sign of {_WORD} (sclerosis|osteophytes)$")
-_RE_AGG_NONE = re.compile(r"^no sign of (sclerosis|osteophytes)$")
-_RE_AGG_FLAG = re.compile(r"^(sign|no sign) of (cysts|chondrocalcinosis)$")
+_RE_LOC_GRADED = re.compile(rf"^{_WORD} {_alternation(f.words for f in FEATURES if f.graded)}$")
+_RE_LOC_FLAG = re.compile(
+    rf"^(sign|no sign) of {_alternation(f.words for f in FEATURES if not f.graded)}$"
+)
+# "sign of mild sclerosis", "no sign of sclerosis", "sign of cysts", ...
+_RE_AGGREGATE = re.compile(
+    rf"^(sign|no sign) of (?:{_WORD} )?{_alternation(f.words for f in _AGGREGATED)}$"
+)
 _RE_ALIGNMENT = re.compile(r"^knee is (varus|valgus|neutral)$")
 _RE_DEMOGRAPHICS = re.compile(r"^the patient is a (\d+) year old (male|female)$")
 
-_FEATURE_LABELS = {
-    "osteophytes": ("osteophytes", BONE_COMPARTMENTS, "graded"),
-    "sclerosis": ("sclerosis", BONE_COMPARTMENTS, "graded"),
-    "joint space narrowing": ("jsn", JOINT_COMPARTMENTS, "graded"),
-    "attrition": ("attrition", ATTRITION_COMPARTMENTS, "graded"),
-    "chondrocalcinosis": ("chondrocalcinosis", JOINT_COMPARTMENTS, "flag"),
-    "cysts": ("cysts", BONE_COMPARTMENTS, "flag"),
-}
+_FEATURE_BY_WORDS = {feature.words: feature for feature in FEATURES}
 
 
 def _parse_feature_sentence(label: str, body: str, parsed: ParsedScores, pos: int) -> None:
-    name, comps, mode = _FEATURE_LABELS[label]
-    target = getattr(parsed, name)
+    feature = _FEATURE_BY_WORDS[label]
+    entry_re = _RE_GRADED_ENTRY if feature.graded else _RE_FLAG_ENTRY
+    target = getattr(parsed, feature.name)
     for entry in body.split(", "):
-        if mode == "graded":
-            m = _RE_GRADED_ENTRY.match(entry)
-            if not m:
-                raise CaptionParseError(pos, f"bad entry {entry!r} for {label}")
-            comp = _NAME_TO_COMPARTMENT[m.group(2)]
-            if comp not in comps:
-                raise CaptionParseError(pos, f"{m.group(2)} is not a {label} compartment")
-            target[comp] = WORD_TO_GRADE[m.group(1)]
-        else:
-            m = _RE_FLAG_ENTRY.match(entry)
-            if not m:
-                raise CaptionParseError(pos, f"bad entry {entry!r} for {label}")
-            comp = _NAME_TO_COMPARTMENT[m.group(2)]
-            if comp not in comps:
-                raise CaptionParseError(pos, f"{m.group(2)} is not a {label} compartment")
-            target[comp] = m.group(1) == "sign"
+        m = entry_re.match(entry)
+        if not m:
+            raise CaptionParseError(pos, f"bad entry {entry!r} for {label}")
+        comp = _NAME_TO_COMPARTMENT[m.group(2)]
+        if comp not in feature.compartments:
+            raise CaptionParseError(pos, f"{m.group(2)} is not a {label} compartment")
+        target[comp] = _stated_value(feature, m.group(1))
 
 
 def _parse_location_sentence(loc_name: str, body: str, parsed: ParsedScores, pos: int) -> None:
     comp = _NAME_TO_COMPARTMENT[loc_name]
     for phrase in body.split(", "):
-        m = _RE_LOC_GRADED.match(phrase)
-        if m:
-            name, comps, _mode = _FEATURE_LABELS[m.group(2)]
-            if comp not in comps:
-                raise CaptionParseError(pos, f"{m.group(2)} cannot occur in {loc_name}")
-            getattr(parsed, name)[comp] = WORD_TO_GRADE[m.group(1)]
-            continue
-        m = _RE_LOC_FLAG.match(phrase)
-        if m:
-            name, comps, _mode = _FEATURE_LABELS[m.group(2)]
-            if comp not in comps:
-                raise CaptionParseError(pos, f"{m.group(2)} cannot occur in {loc_name}")
-            getattr(parsed, name)[comp] = m.group(1) == "sign"
-            continue
-        raise CaptionParseError(pos, f"bad phrase {phrase!r} in {loc_name}")
+        m = _RE_LOC_GRADED.match(phrase) or _RE_LOC_FLAG.match(phrase)
+        if not m:
+            raise CaptionParseError(pos, f"bad phrase {phrase!r} in {loc_name}")
+        feature = _FEATURE_BY_WORDS[m.group(2)]
+        if comp not in feature.compartments:
+            raise CaptionParseError(pos, f"{m.group(2)} cannot occur in {loc_name}")
+        getattr(parsed, feature.name)[comp] = _stated_value(feature, m.group(1))
 
 
 def _parse_aggregate_clauses(body: str, parsed: ParsedScores, pos: int) -> None:
@@ -359,30 +322,17 @@ def _parse_aggregate_clauses(body: str, parsed: ParsedScores, pos: int) -> None:
     for clause in clauses:
         if not clause:
             raise CaptionParseError(pos, "empty clause")
-        m = _RE_AGG_GRADED.match(clause)
-        if m:
-            value = WORD_TO_GRADE[m.group(1)]
-            if m.group(2) == "sclerosis":
-                parsed.max_sclerosis = value
-            else:
-                parsed.max_osteophytes = value
-            continue
-        m = _RE_AGG_NONE.match(clause)
-        if m:
-            if m.group(1) == "sclerosis":
-                parsed.max_sclerosis = 0
-            else:
-                parsed.max_osteophytes = 0
-            continue
-        m = _RE_AGG_FLAG.match(clause)
-        if m:
-            value = m.group(1) == "sign"
-            if m.group(2) == "cysts":
-                parsed.any_cysts = value
-            else:
-                parsed.any_chondrocalcinosis = value
-            continue
-        raise CaptionParseError(pos, f"bad clause {clause!r}")
+        m = _RE_AGGREGATE.match(clause)
+        feature = _FEATURE_BY_WORDS[m.group(3)] if m else None
+        # a grade word is stated exactly when a graded finding is present
+        if feature is None or (m.group(2) is not None) != (
+            feature.graded and m.group(1) == "sign"
+        ):
+            raise CaptionParseError(pos, f"bad clause {clause!r}")
+        if feature.graded:
+            setattr(parsed, f"max_{feature.name}", WORD_TO_GRADE.get(m.group(2), 0))
+        else:
+            setattr(parsed, f"any_{feature.name}", m.group(1) == "sign")
 
 
 def parse_caption(text: str) -> ParsedScores:

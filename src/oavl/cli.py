@@ -300,10 +300,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # noqa: BLE001 - map remaining failures to exit codes
-        from .synth import ManifestError
+        from .synth import ManifestError, PgmError
         from .training import CheckpointError
 
-        if isinstance(exc, (ManifestError, CheckpointError)):
+        if isinstance(exc, (ManifestError, PgmError, CheckpointError)):
             print(f"i/o error: {exc}", file=sys.stderr)
             return EXIT_IO
         if isinstance(exc, (ValueError, IndexError, KeyError)):

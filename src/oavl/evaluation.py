@@ -204,6 +204,10 @@ def retrieval_eval(
     The pool holds one caption per entry; top-1 quality is BLEU-4 against
     the query's own caption, compared to a seeded uniform-draw baseline.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if baseline_draws < 1:
+        raise ValueError(f"baseline_draws must be at least 1, got {baseline_draws}")
     pool_texts = [render_caption(e.record, TemplateKind.LOCATION).text for e in entries]
     pool_words = [split_text(t) for t in pool_texts]
     pool_proj = embed_texts(model, vocab, pool_texts)

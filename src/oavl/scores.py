@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, fields
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -39,6 +39,29 @@ COMPARTMENT_NAMES = {
     "jm": "joint medial",
     "jl": "joint lateral",
 }
+
+
+class Feature(NamedTuple):
+    """One per-compartment map field of :class:`OaScoreRecord`."""
+
+    name: str
+    compartments: Tuple[str, ...]
+    graded: bool  # a 0..4 grade per compartment; otherwise a presence flag
+    words: str  # caption wording; ``words.title()`` is the display name
+
+
+# The score schema, one row per map field in record field order. Validation,
+# sampling, negatives, signatures, captions, parsing and ground-truth
+# regions all read it; the order is also the sampling RNG draw order.
+FEATURES = (
+    Feature("osteophytes", BONE_COMPARTMENTS, True, "osteophytes"),
+    Feature("sclerosis", BONE_COMPARTMENTS, True, "sclerosis"),
+    Feature("jsn", JOINT_COMPARTMENTS, True, "joint space narrowing"),
+    Feature("attrition", ATTRITION_COMPARTMENTS, True, "attrition"),
+    Feature("cysts", BONE_COMPARTMENTS, False, "cysts"),
+    Feature("chondrocalcinosis", JOINT_COMPARTMENTS, False, "chondrocalcinosis"),
+)
+FEATURE_BY_NAME = {feature.name: feature for feature in FEATURES}
 
 AGE_MIN = 0
 AGE_MAX = 120
@@ -103,7 +126,7 @@ class OaScoreRecord:
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(OaScoreRecord))
-_MAP_FIELDS = ("osteophytes", "sclerosis", "jsn", "attrition", "cysts", "chondrocalcinosis")
+_MAP_FIELDS = tuple(feature.name for feature in FEATURES)
 
 
 def _check_grade(field_name: str, value) -> None:
@@ -113,29 +136,20 @@ def _check_grade(field_name: str, value) -> None:
         raise ScoreValidationError(field_name, "grade out of range")
 
 
-def _check_grade_map(field_name: str, value, keys) -> None:
+def _check_map(feature: Feature, value) -> None:
     if not isinstance(value, dict):
-        raise ScoreValidationError(field_name, "expected a compartment map")
-    for key in keys:
+        raise ScoreValidationError(feature.name, "expected a compartment map")
+    for key in feature.compartments:
+        field_name = f"{feature.name}[{key}]"
         if key not in value:
-            raise ScoreValidationError(f"{field_name}[{key}]", "missing key")
-        _check_grade(f"{field_name}[{key}]", value[key])
+            raise ScoreValidationError(field_name, "missing key")
+        if feature.graded:
+            _check_grade(field_name, value[key])
+        elif not isinstance(value[key], bool):
+            raise ScoreValidationError(field_name, "flag must be a boolean")
     for key in value:
-        if key not in keys:
-            raise ScoreValidationError(f"{field_name}[{key}]", "unknown compartment")
-
-
-def _check_flag_map(field_name: str, value, keys) -> None:
-    if not isinstance(value, dict):
-        raise ScoreValidationError(field_name, "expected a compartment map")
-    for key in keys:
-        if key not in value:
-            raise ScoreValidationError(f"{field_name}[{key}]", "missing key")
-        if not isinstance(value[key], bool):
-            raise ScoreValidationError(f"{field_name}[{key}]", "flag must be a boolean")
-    for key in value:
-        if key not in keys:
-            raise ScoreValidationError(f"{field_name}[{key}]", "unknown compartment")
+        if key not in feature.compartments:
+            raise ScoreValidationError(f"{feature.name}[{key}]", "unknown compartment")
 
 
 def validate_record(record: OaScoreRecord) -> OaScoreRecord:
@@ -156,12 +170,8 @@ def validate_record(record: OaScoreRecord) -> OaScoreRecord:
     if record.alignment not in ALIGNMENTS:
         raise ScoreValidationError("alignment", f"must be one of {ALIGNMENTS}")
     _check_grade("kl", record.kl)
-    _check_grade_map("osteophytes", record.osteophytes, BONE_COMPARTMENTS)
-    _check_grade_map("sclerosis", record.sclerosis, BONE_COMPARTMENTS)
-    _check_grade_map("jsn", record.jsn, JOINT_COMPARTMENTS)
-    _check_grade_map("attrition", record.attrition, ATTRITION_COMPARTMENTS)
-    _check_flag_map("cysts", record.cysts, BONE_COMPARTMENTS)
-    _check_flag_map("chondrocalcinosis", record.chondrocalcinosis, JOINT_COMPARTMENTS)
+    for feature in FEATURES:
+        _check_map(feature, getattr(record, feature.name))
     return record
 
 
@@ -178,12 +188,9 @@ def severity_signature(record: OaScoreRecord) -> SeveritySignature:
     signature iff they agree on every grade and flag. Stable across runs.
     """
     parts = [record.kl]
-    parts.extend(record.osteophytes[c] for c in BONE_COMPARTMENTS)
-    parts.extend(record.sclerosis[c] for c in BONE_COMPARTMENTS)
-    parts.extend(record.jsn[c] for c in JOINT_COMPARTMENTS)
-    parts.extend(record.attrition[c] for c in ATTRITION_COMPARTMENTS)
-    parts.extend(int(record.cysts[c]) for c in BONE_COMPARTMENTS)
-    parts.extend(int(record.chondrocalcinosis[c]) for c in JOINT_COMPARTMENTS)
+    for feature in FEATURES:
+        values = getattr(record, feature.name)
+        parts.extend(int(values[c]) for c in feature.compartments)
     return tuple(parts)
 
 
@@ -199,25 +206,20 @@ def sample_record(rng: np.random.Generator, record_id: str = "sample") -> OaScor
 
     def coupled_grade() -> int:
         delta = int(rng.integers(-1, 2))
-        return int(np.clip(kl + delta, GRADE_MIN, GRADE_MAX))
+        return min(max(kl + delta, GRADE_MIN), GRADE_MAX)
 
     def coupled_flag() -> bool:
         return bool(rng.random() < 0.1 + 0.1 * kl)
 
-    record = OaScoreRecord(
-        id=record_id,
-        side="",  # drawn below, after the graded fields
-        age=0,
-        sex="",
-        alignment="",
-        kl=kl,
-        osteophytes={c: coupled_grade() for c in BONE_COMPARTMENTS},
-        sclerosis={c: coupled_grade() for c in BONE_COMPARTMENTS},
-        jsn={c: coupled_grade() for c in JOINT_COMPARTMENTS},
-        attrition={c: coupled_grade() for c in ATTRITION_COMPARTMENTS},
-        cysts={c: coupled_flag() for c in BONE_COMPARTMENTS},
-        chondrocalcinosis={c: coupled_flag() for c in JOINT_COMPARTMENTS},
-    )
+    maps = {
+        feature.name: {
+            c: coupled_grade() if feature.graded else coupled_flag()
+            for c in feature.compartments
+        }
+        for feature in FEATURES
+    }
+    # demographics are drawn below, after the grades and flags
+    record = OaScoreRecord(id=record_id, side="", age=0, sex="", alignment="", kl=kl, **maps)
     record.side = SIDES[int(rng.integers(0, len(SIDES)))]
     record.sex = SEXES[int(rng.integers(0, len(SEXES)))]
     record.alignment = ALIGNMENTS[int(rng.integers(0, len(ALIGNMENTS)))]
@@ -240,18 +242,11 @@ def perturb_negative(record: OaScoreRecord, rng: np.random.Generator) -> OaScore
     neg = record.copy()
     neg.id = record.id + "-neg"
     neg.kl = _perturbed_grade(record.kl, rng)
-    for comp in BONE_COMPARTMENTS:
-        neg.osteophytes[comp] = _perturbed_grade(record.osteophytes[comp], rng)
-    for comp in BONE_COMPARTMENTS:
-        neg.sclerosis[comp] = _perturbed_grade(record.sclerosis[comp], rng)
-    for comp in JOINT_COMPARTMENTS:
-        neg.jsn[comp] = _perturbed_grade(record.jsn[comp], rng)
-    for comp in ATTRITION_COMPARTMENTS:
-        neg.attrition[comp] = _perturbed_grade(record.attrition[comp], rng)
-    for comp in BONE_COMPARTMENTS:
-        if rng.random() < 0.5:
-            neg.cysts[comp] = not neg.cysts[comp]
-    for comp in JOINT_COMPARTMENTS:
-        if rng.random() < 0.5:
-            neg.chondrocalcinosis[comp] = not neg.chondrocalcinosis[comp]
+    for feature in FEATURES:
+        values = getattr(neg, feature.name)
+        for c in feature.compartments:
+            if feature.graded:
+                values[c] = _perturbed_grade(values[c], rng)
+            elif rng.random() < 0.5:
+                values[c] = not values[c]
     return neg

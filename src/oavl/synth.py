@@ -15,14 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scores import (
-    ATTRITION_COMPARTMENTS,
-    BONE_COMPARTMENTS,
-    JOINT_COMPARTMENTS,
-    OaScoreRecord,
-    ScoreValidationError,
-    sample_record,
-)
+from .scores import FEATURE_BY_NAME, OaScoreRecord, ScoreValidationError, sample_record
 from .seeding import derive_seed, make_rng
 
 SPLITS = ("train", "val", "test")
@@ -40,6 +33,10 @@ _SPECKLE_PROB = 0.2
 
 class SynthConfigError(ValueError):
     pass
+
+
+class PgmError(ValueError):
+    """Malformed PGM file; the message names the file."""
 
 
 class ManifestError(ValueError):
@@ -254,16 +251,6 @@ def render_image(record: OaScoreRecord, cfg: SynthConfig, seed: int) -> np.ndarr
     return np.clip(img, 0.0, 1.0).astype(np.float32)
 
 
-_FEATURE_COMPARTMENTS = {
-    "osteophytes": BONE_COMPARTMENTS,
-    "sclerosis": BONE_COMPARTMENTS,
-    "jsn": JOINT_COMPARTMENTS,
-    "attrition": ATTRITION_COMPARTMENTS,
-    "cysts": BONE_COMPARTMENTS,
-    "chondrocalcinosis": JOINT_COMPARTMENTS,
-}
-
-
 @dataclass
 class GroundTruthRegion:
     feature: Tuple[str, str]
@@ -293,9 +280,9 @@ def ground_truth_region(
     """
     cfg.validate()
     name, comp = feature
-    if name not in _FEATURE_COMPARTMENTS:
+    if name not in FEATURE_BY_NAME:
         raise ValueError(f"unknown feature {name!r}")
-    if comp not in _FEATURE_COMPARTMENTS[name]:
+    if comp not in FEATURE_BY_NAME[name].compartments:
         raise ValueError(f"{comp!r} is not a {name} compartment")
     value = getattr(record, name)[comp]
     if not value:
@@ -326,19 +313,27 @@ def write_pgm(path: str, image: np.ndarray) -> None:
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Read a 16-bit binary PGM back into float32 [0, 1]."""
+    """Read a 16-bit binary PGM, as :func:`write_pgm` writes it, back into float32 [0, 1].
+
+    Raises :class:`PgmError` naming the file for a bad or missing header line
+    or a payload shorter than the header says.
+    """
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != b"P5":
-            raise ValueError(f"{path}: not a binary PGM")
+            raise PgmError(f"{path}: not a binary PGM (magic {magic!r})")
         dims = fh.readline().split()
+        if len(dims) != 2 or not (dims[0].isdigit() and dims[1].isdigit()):
+            raise PgmError(f"{path}: size line must hold width and height, got {dims!r}")
         w, h = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
-        if maxval != 65535:
-            raise ValueError(f"{path}: expected 16-bit PGM")
+        if w == 0 or h == 0:
+            raise PgmError(f"{path}: image is {w}x{h}")
+        maxval = fh.readline().strip()
+        if maxval != b"65535":
+            raise PgmError(f"{path}: expected 16-bit PGM (maxval 65535), got {maxval!r}")
         raw = fh.read(w * h * 2)
     if len(raw) != w * h * 2:
-        raise ValueError(f"{path}: payload holds {len(raw)} bytes, header says {w * h * 2}")
+        raise PgmError(f"{path}: payload holds {len(raw)} bytes, header says {w * h * 2}")
     values = np.frombuffer(raw, dtype=">u2").reshape(h, w)
     return (values.astype(np.float32) / 65535.0).astype(np.float32)
 

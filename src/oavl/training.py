@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -264,6 +265,13 @@ def fit(
     train_entries = manifest.split("train")
     if not train_entries:
         raise ValueError("manifest has no train split")
+    # epoch_plan keeps one item per signature and drops the partial last batch
+    signatures = len({severity_signature(e.record) for e in train_entries})
+    if cfg.epochs > 0 and signatures < cfg.batch_size:
+        raise ValueError(
+            f"train split has {signatures} distinct severity signatures, fewer than "
+            f"batch_size {cfg.batch_size}: no batch would be trained"
+        )
     vocab = build_vocabulary()
 
     train_images = _load_split_images(manifest, "train")
@@ -341,7 +349,7 @@ def _serialize_tensor(out: io.BytesIO, name: str, payload: bytes, dtype: int, di
 
 
 def save_checkpoint(path: str, model: DualEncoder, cfg: TrainConfig, epoch: int) -> None:
-    """Write the binary checkpoint: magic, version, tensors, payload CRC32."""
+    """Write the binary checkpoint atomically: magic, version, tensors, payload CRC32."""
     tensors: List[Tuple[str, bytes, int, Tuple[int, ...]]] = []
     for name, p in model.parameters().items():
         tensors.append((name, p.data.astype("<f4").tobytes(), _DTYPE_F32, p.data.shape))
@@ -368,8 +376,17 @@ def save_checkpoint(path: str, model: DualEncoder, cfg: TrainConfig, epoch: int)
         _serialize_tensor(out, name, payload, dtype, dims)
         crc = zlib.crc32(payload, crc)
     out.write(struct.pack("<I", crc & 0xFFFFFFFF))
-    with open(path, "wb") as fh:
-        fh.write(out.getvalue())
+    # write beside the target, then rename over it: a failed write leaves any
+    # previous checkpoint at ``path`` intact
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(out.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh, count: int) -> bytes:

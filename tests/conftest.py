@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from oavl.scores import (
-    ATTRITION_COMPARTMENTS,
-    BONE_COMPARTMENTS,
-    JOINT_COMPARTMENTS,
-    OaScoreRecord,
-    validate_record,
-)
+from oavl.scores import FEATURES, OaScoreRecord, validate_record
 
 
 def make_record(
@@ -20,8 +14,8 @@ def make_record(
     fill=0,
     **overrides,
 ):
-    """A valid record with every graded field set to ``fill``; overrides are
-    dicts like osteophytes={"fm": 2}."""
+    """A valid record with every grade set to ``fill`` and every flag false;
+    overrides are dicts like osteophytes={"fm": 2}."""
     record = OaScoreRecord(
         id=record_id,
         side=side,
@@ -29,12 +23,10 @@ def make_record(
         sex=sex,
         alignment=alignment,
         kl=kl,
-        osteophytes={c: fill for c in BONE_COMPARTMENTS},
-        sclerosis={c: fill for c in BONE_COMPARTMENTS},
-        jsn={c: fill for c in JOINT_COMPARTMENTS},
-        attrition={c: fill for c in ATTRITION_COMPARTMENTS},
-        cysts={c: False for c in BONE_COMPARTMENTS},
-        chondrocalcinosis={c: False for c in JOINT_COMPARTMENTS},
+        **{
+            f.name: {c: fill if f.graded else False for c in f.compartments}
+            for f in FEATURES
+        },
     )
     for name, values in overrides.items():
         getattr(record, name).update(values)

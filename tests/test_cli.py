@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -205,6 +206,21 @@ class TestTrain:
         )
         assert code == EXIT_VALIDATION
 
+    def test_fewer_signatures_than_batch_size_is_validation_error(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        # the 16-image set's 12 train records cannot fill one batch of 64
+        ckpt = tmp_path / "x.bin"
+        code = main(
+            [
+                "train", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                "--out", str(ckpt), "--epochs", "1", "--batch-size", "64", "--quiet",
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "12 distinct severity signatures" in capsys.readouterr().err
+        assert not ckpt.exists()
+
 
 class TestEvalAndSaliency:
     def test_zero_shot_eval_writes_report(self, dataset_dir, trained, tmp_path):
@@ -234,6 +250,26 @@ class TestEvalAndSaliency:
         assert code == EXIT_OK
         payload = json.loads((out / "report.json").read_text())
         assert "retrieval" in payload
+
+    @pytest.mark.parametrize(
+        "flag, message", [("--k", "k must be at least 1"),
+                          ("--baseline-draws", "baseline_draws must be at least 1")]
+    )
+    def test_retrieval_rejects_zero_argument(
+        self, flag, message, dataset_dir, trained, tmp_path, capsys
+    ):
+        ckpt, _ = trained
+        out = tmp_path / "retr"
+        code = main(
+            [
+                "eval", "retrieval", "--checkpoint", str(ckpt),
+                "--manifest", str(dataset_dir / "manifest.jsonl"),
+                "--out", str(out), flag, "0",
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_eval_without_task(self, trained, dataset_dir):
         assert main(["eval"]) == EXIT_VALIDATION
@@ -312,6 +348,57 @@ MALFORMED_CONFIGS = {
     "missing-train": _drop("train"),
     "missing-epoch": _drop("epoch"),
 }
+
+
+def _pgm_header_end(blob, lines=3):
+    end = 0
+    for _ in range(lines):
+        end = blob.index(b"\n", end) + 1
+    return end
+
+
+# (case, rewrite of a valid PGM's bytes, expected message fragment)
+MALFORMED_PGMS = [
+    ("bad-magic", lambda b: b"P2" + b[2:], "not a binary PGM"),
+    ("empty-file", lambda b: b"", "not a binary PGM"),
+    ("non-numeric-size", lambda b: b.replace(b"\n32 32\n", b"\n32 x\n", 1), "size line"),
+    ("one-number-size", lambda b: b.replace(b"\n32 32\n", b"\n32\n", 1), "size line"),
+    ("zero-size", lambda b: b.replace(b"\n32 32\n", b"\n0 32\n", 1), "image is 0x32"),
+    ("missing-size-line", lambda b: b[: _pgm_header_end(b, 1)], "size line"),
+    ("missing-maxval-line", lambda b: b[: _pgm_header_end(b, 2)], "maxval 65535"),
+    ("8-bit-maxval", lambda b: b.replace(b"\n65535\n", b"\n255\n", 1), "maxval 65535"),
+    ("non-numeric-maxval", lambda b: b.replace(b"\n65535\n", b"\nxyz\n", 1), "maxval 65535"),
+    ("short-payload", lambda b: b[: _pgm_header_end(b) + 5], "payload holds 5 bytes"),
+]
+
+
+class TestMalformedPgm:
+    """Every malformed image ends in one typed error naming the file, exit 2."""
+
+    @pytest.mark.parametrize(
+        "rewrite, fragment", [c[1:] for c in MALFORMED_PGMS], ids=[c[0] for c in MALFORMED_PGMS]
+    )
+    def test_saliency_on_malformed_pgm_is_io_error(
+        self, rewrite, fragment, dataset_dir, trained, tmp_path, capsys
+    ):
+        ckpt, _ = trained
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        entry = read_manifest(str(data / "manifest.jsonl")).entries[0]
+        image = data / entry.image_path
+        image.write_bytes(rewrite(image.read_bytes()))
+        code = main(
+            [
+                "saliency", "--checkpoint", str(ckpt),
+                "--manifest", str(data / "manifest.jsonl"),
+                "--id", entry.record.id, "--prompt", "severe osteoarthritis.",
+                "--out", str(tmp_path / "sal"),
+            ]
+        )
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{entry.record.id}.pgm" in err
+        assert fragment in err
 
 
 class TestMalformedCheckpoint:

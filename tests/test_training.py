@@ -1,3 +1,4 @@
+import io
 import os
 
 import numpy as np
@@ -205,6 +206,14 @@ class TestFit:
         save_checkpoint(str(tmp_path / "b.bin"), model_b, cfg, epoch=2)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
+    def test_fewer_signatures_than_batch_size_rejected(self, small_dataset):
+        # 19 train records: a batch of 32 would never fill, so no step would run
+        signatures = len({severity_signature(e.record) for e in small_dataset.split("train")})
+        cfg = TrainConfig(epochs=1, batch_size=32)
+        with pytest.raises(ValueError, match=f"{signatures} distinct .* batch_size 32"):
+            fit(small_dataset, cfg, tiny_model_cfg())
+        fit(small_dataset, TrainConfig(epochs=0, batch_size=32), tiny_model_cfg())
+
     def test_records_epoch_stats_and_validation_accuracy(self, small_dataset):
         cfg = TrainConfig(epochs=2, batch_size=4, seed=3)
         _model, report = fit(small_dataset, cfg, tiny_model_cfg())
@@ -272,6 +281,21 @@ class TestCheckpoint:
         second = str(tmp_path / "second.bin")
         save_checkpoint(second, loaded.model, loaded.train_config, epoch=loaded.epoch)
         assert open(path, "rb").read() == open(second, "rb").read()
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path, model, train_cfg = self._saved(tmp_path)
+        before = open(path, "rb").read()
+
+        class DiskFull(io.FileIO):
+            def write(self, data):
+                super().write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("oavl.training.open", DiskFull, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, model, train_cfg, epoch=9)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["model.bin"]
 
     def test_flipped_payload_byte_fails_checksum(self, tmp_path):
         path, _model, _cfg = self._saved(tmp_path)
