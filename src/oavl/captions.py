@@ -277,9 +277,11 @@ _RE_LOC_GRADED = re.compile(rf"^{_WORD} {_alternation(f.words for f in FEATURES 
 _RE_LOC_FLAG = re.compile(
     rf"^(sign|no sign) of {_alternation(f.words for f in FEATURES if not f.graded)}$"
 )
-# "sign of mild sclerosis", "no sign of sclerosis", "sign of cysts", ...
+# "sign of mild sclerosis", "no sign of sclerosis", "sign of cysts", ...; grade
+# 0 is only ever "no sign of", so the grade word after "sign of" is never "no"
 _RE_AGGREGATE = re.compile(
-    rf"^(sign|no sign) of (?:{_WORD} )?{_alternation(f.words for f in _AGGREGATED)}$"
+    rf"^(sign|no sign) of (?:{_alternation(GRADE_WORDS[1:])} )?"
+    rf"{_alternation(f.words for f in _AGGREGATED)}$"
 )
 _RE_ALIGNMENT = re.compile(r"^knee is (varus|valgus|neutral)$")
 _RE_DEMOGRAPHICS = re.compile(r"^the patient is a (\d+) year old (male|female)$")

@@ -201,7 +201,7 @@ def _cmd_captions(args, config) -> int:
 
 
 def _cmd_train(args, config) -> int:
-    from .synth import read_manifest
+    from .synth import read_manifest, write_atomic
     from .training import TrainConfig, fit, save_checkpoint
 
     cfg = _build_config(TrainConfig, args, config)
@@ -210,9 +210,8 @@ def _cmd_train(args, config) -> int:
     model, report = fit(manifest, cfg, log=log)
     save_checkpoint(args.out, model, cfg, epoch=cfg.epochs)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        write_atomic(args.report, text.encode("utf-8"))
     return EXIT_OK
 
 

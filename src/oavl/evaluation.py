@@ -23,7 +23,7 @@ from .captions import TemplateKind, Vocabulary, render_caption, split_text, toke
 from .model import DualEncoder
 from .scores import GRADE_MAX, grade_word
 from .seeding import make_rng
-from .synth import GroundTruthRegion, ManifestEntry, write_pgm
+from .synth import GroundTruthRegion, ManifestEntry, write_atomic, write_pgm
 
 N_CLASSES = GRADE_MAX + 1
 
@@ -288,10 +288,9 @@ def grad_cam(
     model.zero_grad()
     target.backward()
 
-    activations = acts.data[0]
-    gradients = acts.grad[0]
-    weights = gradients.mean(axis=(1, 2))
-    raw = np.maximum((weights[:, None, None] * activations).sum(axis=0), 0.0)
+    activations = acts.data[0]  # [h, w, C]
+    weights = acts.grad[0].mean(axis=(0, 1))
+    raw = np.maximum((activations * weights).sum(axis=-1), 0.0)
     resized = _bilinear_resize(raw, model.cfg.height, model.cfg.width)
     resized = np.maximum(resized, 0.0)
     peak = resized.max()
@@ -322,15 +321,14 @@ def localization_score(saliency: SaliencyMap, region: GroundTruthRegion) -> floa
 def export_report(report: EvalReport, out_dir: str) -> None:
     """Write report.json (sorted keys), confusion.csv, and saliency overlays."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    write_atomic(os.path.join(out_dir, "report.json"), text.encode("utf-8"))
     if report.zero_shot is not None:
-        with open(os.path.join(out_dir, "confusion.csv"), "w", encoding="utf-8") as fh:
-            fh.write("true\\pred," + ",".join(str(k) for k in range(N_CLASSES)) + "\n")
-            for true_k in range(N_CLASSES):
-                row = ",".join(str(int(v)) for v in report.zero_shot.confusion[true_k])
-                fh.write(f"{true_k},{row}\n")
+        lines = ["true\\pred," + ",".join(str(k) for k in range(N_CLASSES)) + "\n"]
+        for true_k in range(N_CLASSES):
+            row = ",".join(str(int(v)) for v in report.zero_shot.confusion[true_k])
+            lines.append(f"{true_k},{row}\n")
+        write_atomic(os.path.join(out_dir, "confusion.csv"), "".join(lines).encode("utf-8"))
     if report.saliency:
         saliency_dir = os.path.join(out_dir, "saliency")
         os.makedirs(saliency_dir, exist_ok=True)

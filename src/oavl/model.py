@@ -1,10 +1,12 @@
 """Dual encoder and losses.
 
 A small image CNN and a token-convolution text encoder produce unprojected
-embeddings; per-modality linear heads plus l2 normalization produce the
-projected embeddings whose cosine similarity matrix feeds a symmetric
-InfoNCE loss. A second loss pushes the cosine between each caption's
-unprojected embedding and its contrasting negative's embedding down.
+embeddings; both run the same channels-last conv2d, the text encoder on each
+caption as a one-row image of token embeddings. Per-modality linear heads
+plus l2 normalization produce the projected embeddings whose cosine
+similarity matrix feeds a symmetric InfoNCE loss. A second loss pushes the
+cosine between each caption's unprojected embedding and its contrasting
+negative's embedding down.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import nn
+from .captions import DEFAULT_MAX_LEN
 from .nn import Parameter, Tensor
 from .seeding import make_rng
 
@@ -32,7 +35,7 @@ class ModelConfig:
     embed_dim: int = 64
     proj_dim: int = 32
     vocab_size: int = 0
-    max_len: int = 96
+    max_len: int = DEFAULT_MAX_LEN
     pad_index: int = 0
     # similarity divisor: logits = S / tau; 0.07 starts training sharp and
     # inside the clamp range so the gradient can move it
@@ -61,9 +64,10 @@ class DualEncoder:
     """Image CNN + text token-conv encoder + projection heads + temperature.
 
     Parameters are enumerable by name in a fixed order (the checkpoint
-    contract). Image encoder: three stride-2 3x3 conv+relu stages and a
-    global mean pool. Text encoder: token + position embeddings, two
-    kernel-3 convolutions over the token axis, mean pool over non-pad
+    contract). Activations are channels-last [N, H, W, C]. Image encoder:
+    three stride-2 3x3 conv+relu stages and a global mean pool. Text
+    encoder: token + position embeddings as a one-row image [N, 1, L, D],
+    two 1x3 convolutions over the token axis, mean pool over non-pad
     positions.
     """
 
@@ -136,15 +140,12 @@ class DualEncoder:
 
     # -- forward ---------------------------------------------------------------
 
-    def _conv_block(self, x: Tensor, name: str, stride: int, pad) -> Tensor:
-        w = self._params[name + ".weight"].value
-        b = self._params[name + ".bias"].value
-        y = nn.conv2d(x, w, stride=stride, pad=pad)
-        y = nn.add(y, nn.reshape(b, (1, b.shape[0], 1, 1)))
-        return nn.relu(y)
+    def _conv_block(self, x: Tensor, name: str, stride: int) -> Tensor:
+        y = nn.conv2d(x, self._params[name + ".weight"].value, stride=stride)
+        return nn.relu(nn.add(y, self._params[name + ".bias"].value))
 
     def image_features(self, images: np.ndarray) -> Tuple[Tensor, Tensor]:
-        """Final conv-stage activations [N, C3, h, w] and pooled embedding [N, C3]."""
+        """Final conv-stage activations [N, h, w, C3] and pooled embedding [N, C3]."""
         arr = np.asarray(images, dtype=self.dtype)
         if arr.ndim != 4 or arr.shape[1] != 1:
             raise nn.ShapeError("expected images of shape [N, 1, H, W]")
@@ -153,10 +154,10 @@ class DualEncoder:
                 f"image size {arr.shape[2]}x{arr.shape[3]} does not match "
                 f"configured {self.cfg.height}x{self.cfg.width}"
             )
-        x = Tensor(arr)
-        x = self._conv_block(x, "image.conv1", stride=2, pad=1)
-        x = self._conv_block(x, "image.conv2", stride=2, pad=1)
-        acts = self._conv_block(x, "image.conv3", stride=2, pad=1)
+        x = Tensor(arr.reshape(arr.shape[0], arr.shape[2], arr.shape[3], 1))  # channels-last
+        x = self._conv_block(x, "image.conv1", stride=2)
+        x = self._conv_block(x, "image.conv2", stride=2)
+        acts = self._conv_block(x, "image.conv3", stride=2)
         pooled = nn.mean_pool(acts)
         return acts, pooled
 
@@ -170,22 +171,15 @@ class DualEncoder:
         idx = np.asarray(tokens)
         if idx.ndim != 2 or idx.shape[1] != self.cfg.max_len:
             raise nn.ShapeError(f"expected tokens of shape [N, {self.cfg.max_len}]")
-        emb = nn.embedding(self._params["text.token_embedding"].value, idx)
-        pos = nn.reshape(
-            self._params["text.pos_embedding"].value, (1, self.cfg.max_len, self.cfg.embed_dim)
-        )
-        x = nn.add(emb, pos)  # [N, L, D]
-        x = nn.transpose(x, (0, 2, 1))  # [N, D, L]
-        x = nn.reshape(x, (idx.shape[0], self.cfg.embed_dim, 1, self.cfg.max_len))
-        x = self._conv_block(x, "text.conv1", stride=1, pad=(0, 1))
-        x = self._conv_block(x, "text.conv2", stride=1, pad=(0, 1))
-        x = nn.reshape(x, (idx.shape[0], self.cfg.embed_dim, self.cfg.max_len))
-        x = nn.transpose(x, (0, 2, 1))  # [N, L, D]
+        # a caption is a one-row channels-last image [N, 1, L, D]
+        x = nn.embedding(self._params["text.token_embedding"].value, idx[:, None])
+        x = nn.add(x, self._params["text.pos_embedding"].value)
+        x = self._conv_block(x, "text.conv1", stride=1)
+        x = self._conv_block(x, "text.conv2", stride=1)
 
-        mask = (idx != self.cfg.pad_index).astype(self.dtype)
-        counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0).astype(self.dtype)
-        masked = nn.mul(x, Tensor(mask[:, :, None]))
-        total = nn.tsum(masked, axis=1)
+        mask = (idx != self.cfg.pad_index).astype(self.dtype)[:, None, :, None]
+        counts = np.maximum(mask.sum(axis=(1, 2)), 1.0).astype(self.dtype)
+        total = nn.tsum(nn.mul(x, Tensor(mask)), axis=(1, 2))
         return nn.mul(total, Tensor(1.0 / counts))
 
     def project(self, embeddings: Tensor, modality: str) -> Tensor:

@@ -1,14 +1,16 @@
 """Dense-tensor reverse-mode autodiff with exactly the primitives the model needs.
 
-Tensors wrap contiguous numpy arrays (float32 for training, float64 for
-gradient checking); each op builds the graph with a closure that routes the
-output gradient back to its parents. A finite-difference checker validates
-every backward rule.
+Tensors wrap numpy arrays (float32 for training, float64 for gradient
+checking); each op builds the graph with a closure that routes the output
+gradient back to its parents. Spatial data is channels-last [N, H, W, C]:
+images as they are, captions as one-row images [N, 1, L, D], so one conv2d
+serves both encoders. A finite-difference checker validates every backward
+rule.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -195,24 +197,13 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
     return out
 
 
-def transpose(a: TensorLike, axes: Optional[Sequence[int]] = None) -> Tensor:
+def transpose(a: TensorLike) -> Tensor:
+    """Reverse the axes: the matrix transpose of a 2-D tensor."""
     at = as_tensor(a)
-    out = Tensor(np.transpose(at.data, axes), parents=(at,))
-    inverse = None if axes is None else np.argsort(axes)
+    out = Tensor(at.data.T, parents=(at,))
 
     def backward(g):
-        _accumulate(at, np.transpose(g, inverse))
-
-    out._backward = backward
-    return out
-
-
-def reshape(a: TensorLike, shape: Sequence[int]) -> Tensor:
-    at = as_tensor(a)
-    out = Tensor(at.data.reshape(shape), parents=(at,))
-
-    def backward(g):
-        _accumulate(at, g.reshape(at.shape))
+        _accumulate(at, g.T)
 
     out._backward = backward
     return out
@@ -286,11 +277,11 @@ def tmean(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def mean_pool(a: TensorLike) -> Tensor:
-    """Global spatial mean over the trailing two axes of [N, C, H, W]."""
+    """Global spatial mean of channels-last [N, H, W, C] to [N, C]."""
     at = as_tensor(a)
     if at.ndim != 4:
-        raise ShapeError("mean_pool expects [N, C, H, W]")
-    return tmean(at, axis=(2, 3))
+        raise ShapeError("mean_pool expects [N, H, W, C]")
+    return tmean(at, axis=(1, 2))
 
 
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
@@ -308,42 +299,35 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     return out
 
 
-def _pair(value) -> Tuple[int, int]:
-    if isinstance(value, tuple):
-        return value
-    return (value, value)
+def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
+    """Cross-correlation of channels-last [N, H, W, C] with [C_out, C_in, kh, kw].
 
-
-def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1, pad=0) -> Tensor:
-    """Cross-correlation of [N, C, H, W] with [C_out, C_in, kh, kw]."""
+    Zero padding of (kh // 2, kw // 2) on each side centres odd kernels, so a
+    stride-1 layer keeps H and W. The output is channels-last too.
+    """
     xt, kt = as_tensor(x), as_tensor(kernel)
     if xt.ndim != 4 or kt.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and kernel")
-    n, c, h, w = xt.shape
+    n, h, w, c = xt.shape
     c_out, c_in, kh, kw = kt.shape
     if c != c_in:
         raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {c_in}")
-    ph, pw = _pair(pad)
+    ph, pw = kh // 2, kw // 2
     h_out = (h + 2 * ph - kh) // stride + 1
     w_out = (w + 2 * pw - kw) // stride + 1
-    if h_out < 1 or w_out < 1:
-        raise ShapeError("conv2d output size must be positive")
 
-    xp = np.pad(xt.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    windows = windows[:, :, :h_out, :w_out]
-    # im2col: one GEMM per direction beats generic einsum on these shapes
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
+    xp = np.pad(xt.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    # windows are [N, h_out, w_out, C, kh, kw]: im2col rows come out in the
+    # kernel's (C, kh, kw) order, so neither GEMM needs a transpose
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = np.ascontiguousarray(windows[:, :h_out, :w_out]).reshape(
         n * h_out * w_out, c * kh * kw
     )
     k_flat = kt.data.reshape(c_out, c * kh * kw)
-    value = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2)
-    out = Tensor(np.ascontiguousarray(value), parents=(xt, kt))
+    out = Tensor((cols @ k_flat.T).reshape(n, h_out, w_out, c_out), parents=(xt, kt))
 
     def backward(g):
-        g_flat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(
-            n * h_out * w_out, c_out
-        )
+        g_flat = g.reshape(n * h_out * w_out, c_out)
         if kt.requires_grad:
             _accumulate(kt, (g_flat.T @ cols).reshape(kt.shape))
         if xt.requires_grad:
@@ -351,11 +335,10 @@ def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1, pad=0) -> Tensor:
             dxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
-                    tap = d_cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
                     dxp[
-                        :, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride
-                    ] += tap
-            _accumulate(xt, dxp[:, :, ph : ph + h, pw : pw + w])
+                        :, i : i + stride * h_out : stride, j : j + stride * w_out : stride
+                    ] += d_cols[..., i, j]
+            _accumulate(xt, dxp[:, ph : ph + h, pw : pw + w])
 
     out._backward = backward
     return out

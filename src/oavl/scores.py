@@ -8,7 +8,6 @@ them and synthetic images encode them pixel by pixel.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, fields
 from typing import Dict, NamedTuple, Tuple
 
@@ -97,7 +96,8 @@ class OaScoreRecord:
     chondrocalcinosis: Dict[str, bool]
 
     def copy(self) -> "OaScoreRecord":
-        return copy.deepcopy(self)
+        """A record whose six maps are fresh dicts; their values are immutable."""
+        return type(self)(**self.to_json_dict())
 
     def to_json_dict(self) -> dict:
         # not dataclasses.asdict: it gives the same dict but deep-copies every

@@ -300,16 +300,32 @@ def ground_truth_region(
     return GroundTruthRegion(feature=feature, mask=_dilate(mask, cfg.max_shift))
 
 
-# --- PGM I/O ---------------------------------------------------------------
+# --- file output and PGM I/O -----------------------------------------------
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to ``<path>.tmp``, then rename it over ``path``.
+
+    A failed or interrupted write leaves any previous file at ``path`` intact
+    and removes the temp file. There is no fsync: this guards against a
+    failed write, not against power loss.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:
-    """16-bit binary PGM ("P5", maxval 65535, big-endian samples)."""
+    """16-bit binary PGM ("P5", maxval 65535, big-endian samples), written atomically."""
     data = np.round(np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0) * 65535.0)
     h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(data.astype(">u2").tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n65535\n".encode("ascii") + data.astype(">u2").tobytes())
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -331,9 +347,11 @@ def read_pgm(path: str) -> np.ndarray:
         maxval = fh.readline().strip()
         if maxval != b"65535":
             raise PgmError(f"{path}: expected 16-bit PGM (maxval 65535), got {maxval!r}")
+        # checked before reading, so a huge declared size never reaches read()
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < w * h * 2:
+            raise PgmError(f"{path}: payload holds {left} bytes, header says {w * h * 2}")
         raw = fh.read(w * h * 2)
-    if len(raw) != w * h * 2:
-        raise PgmError(f"{path}: payload holds {len(raw)} bytes, header says {w * h * 2}")
     values = np.frombuffer(raw, dtype=">u2").reshape(h, w)
     return (values.astype(np.float32) / 65535.0).astype(np.float32)
 
@@ -367,12 +385,14 @@ class DatasetManifest:
 
 
 def write_manifest(manifest: DatasetManifest, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in manifest.entries:
-            obj = entry.record.to_json_dict()
-            obj["image_path"] = entry.image_path
-            obj["split"] = entry.split
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    """One JSON object per entry and line, written atomically."""
+    lines = []
+    for entry in manifest.entries:
+        obj = entry.record.to_json_dict()
+        obj["image_path"] = entry.image_path
+        obj["split"] = entry.split
+        lines.append(json.dumps(obj, sort_keys=True) + "\n")
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 def read_manifest(path: str) -> DatasetManifest:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 import zlib
@@ -31,7 +32,7 @@ from .captions import (
 from .model import DualEncoder, ModelConfig, similarity_matrix, total_loss
 from .scores import OaScoreRecord, perturb_negative, severity_signature
 from .seeding import make_rng
-from .synth import DatasetManifest, ManifestEntry, read_pgm
+from .synth import DatasetManifest, ManifestEntry, read_pgm, write_atomic
 
 CHECKPOINT_MAGIC = b"OAVL0001"
 CHECKPOINT_VERSION = 1
@@ -376,58 +377,46 @@ def save_checkpoint(path: str, model: DualEncoder, cfg: TrainConfig, epoch: int)
         _serialize_tensor(out, name, payload, dtype, dims)
         crc = zlib.crc32(payload, crc)
     out.write(struct.pack("<I", crc & 0xFFFFFFFF))
-    # write beside the target, then rename over it: a failed write leaves any
-    # previous checkpoint at ``path`` intact
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(out.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def _read_exact(fh, count: int) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise CheckpointError("truncated checkpoint")
-    return data
+    write_atomic(path, out.getvalue())
 
 
 def _read_checkpoint_tensors(path: str) -> Dict[str, Tuple[int, Tuple[int, ...], bytes]]:
     """Parse and CRC-verify the file; returns tensors by name, in file order."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, len(CHECKPOINT_MAGIC))
+        file_size = os.fstat(fh.fileno()).st_size
+
+        def read(count: int) -> bytes:
+            # checked before reading, so corrupt dims never reach read()
+            if count > file_size - fh.tell():
+                raise CheckpointError("truncated checkpoint")
+            return fh.read(count)
+
+        magic = read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"unsupported checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", read(4))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
+        (count,) = struct.unpack("<I", read(4))
         tensors: Dict[str, Tuple[int, Tuple[int, ...], bytes]] = {}
         crc = 0
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
+            (name_len,) = struct.unpack("<H", read(2))
             try:
-                name = _read_exact(fh, name_len).decode("utf-8")
+                name = read(name_len).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointError("tensor name is not valid UTF-8") from exc
-            dtype, rank = struct.unpack("<BB", _read_exact(fh, 2))
-            dims = tuple(
-                struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank)
-            )
-            size = int(np.prod(dims, dtype=np.int64)) if dims else 1
+            dtype, rank = struct.unpack("<BB", read(2))
+            dims = tuple(struct.unpack("<I", read(4))[0] for _ in range(rank))
             if dtype == _DTYPE_F32:
-                payload = _read_exact(fh, size * 4)
+                payload = read(math.prod(dims) * 4)
             elif dtype == _DTYPE_U8:
-                payload = _read_exact(fh, size)
+                payload = read(math.prod(dims))
             else:
                 raise CheckpointError(f"unknown tensor dtype {dtype}")
             crc = zlib.crc32(payload, crc)
             tensors[name] = (dtype, dims, payload)
-        (stored_crc,) = struct.unpack("<I", _read_exact(fh, 4))
+        (stored_crc,) = struct.unpack("<I", read(4))
         if stored_crc != crc & 0xFFFFFFFF:
             raise CheckpointError("checksum mismatch: checkpoint is corrupted")
     return tensors

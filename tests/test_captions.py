@@ -178,9 +178,16 @@ class TestParse:
             assert parse_caption(shuffled.text) == parse_caption(caption.text)
 
     def test_rejects_text_outside_grammar(self):
-        with pytest.raises(CaptionParseError) as exc:
-            parse_caption("no osteoarthritis. Hello world.")
-        assert exc.value.position == len("no osteoarthritis. ")
+        cases = [
+            ("no osteoarthritis. Hello world.", len("no osteoarthritis. ")),
+            # the renderer writes grade 0 as "no sign of", never "sign of no"
+            ("It shows sign of no sclerosis.", 0),
+            ("It shows sign of no osteophytes.", 0),
+        ]
+        for text, position in cases:
+            with pytest.raises(CaptionParseError) as exc:
+                parse_caption(text)
+            assert exc.value.position == position, text
 
     def test_rejects_missing_terminator(self):
         with pytest.raises(CaptionParseError):

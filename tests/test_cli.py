@@ -369,6 +369,11 @@ MALFORMED_PGMS = [
     ("8-bit-maxval", lambda b: b.replace(b"\n65535\n", b"\n255\n", 1), "maxval 65535"),
     ("non-numeric-maxval", lambda b: b.replace(b"\n65535\n", b"\nxyz\n", 1), "maxval 65535"),
     ("short-payload", lambda b: b[: _pgm_header_end(b) + 5], "payload holds 5 bytes"),
+    (
+        "huge-size",
+        lambda b: b.replace(b"\n32 32\n", b"\n99999999999 99999999999\n", 1),
+        "header says 19999999999600000000002",
+    ),
 ]
 
 
@@ -436,6 +441,16 @@ class TestMalformedCheckpoint:
 
 
 class TestInspect:
+    def test_huge_declared_tensor_is_io_error(self, tmp_path, capsys):
+        # a payload of 2**62 floats is declared but never allocated
+        out = io.BytesIO()
+        out.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, 1))
+        _serialize_tensor(out, "w", bytes(16), 0, (2**31, 2**31))
+        bad = tmp_path / "huge.bin"
+        bad.write_bytes(out.getvalue())
+        assert main(["inspect", str(bad)]) == EXIT_IO
+        assert "truncated checkpoint" in capsys.readouterr().err
+
     def test_lists_model_tensors(self, trained, capsys):
         ckpt, _ = trained
         assert main(["inspect", str(ckpt)]) == EXIT_OK

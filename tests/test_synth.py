@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -181,6 +182,22 @@ class TestManifest:
             for i in range(n)
         ]
         return DatasetManifest(entries=entries)
+
+    def test_failed_write_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "manifest.jsonl")
+        write_manifest(self._manifest(5), path)
+        before = open(path, "rb").read()
+
+        class DiskFull(io.FileIO):
+            def write(self, data):
+                super().write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("oavl.synth.open", DiskFull, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_manifest(self._manifest(20), path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["manifest.jsonl"]
 
     def test_round_trip(self, tmp_path):
         manifest = self._manifest(100)

@@ -291,7 +291,7 @@ class TestCheckpoint:
                 super().write(data[: len(data) // 2])
                 raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr("oavl.training.open", DiskFull, raising=False)
+        monkeypatch.setattr("oavl.synth.open", DiskFull, raising=False)
         with pytest.raises(OSError, match="No space left"):
             save_checkpoint(path, model, train_cfg, epoch=9)
         assert open(path, "rb").read() == before
