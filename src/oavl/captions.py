@@ -75,17 +75,6 @@ class Caption:
     signature: SeveritySignature
 
 
-@dataclass
-class CaptionBag:
-    """All template renderings of one record, in fixed kind order."""
-
-    captions: List[Caption]
-
-    @property
-    def signature(self) -> SeveritySignature:
-        return self.captions[0].signature
-
-
 def _state_word(feature: Feature, value) -> str:
     """How a finding is stated: its grade word, or "sign" / "no sign" for a flag."""
     if feature.graded:
@@ -194,14 +183,12 @@ def build_caption_bag(
     record: OaScoreRecord,
     include_zero_grades: bool = True,
     include_demographics: bool = False,
-) -> CaptionBag:
-    """One caption per template kind, all sharing the record's signature."""
-    return CaptionBag(
-        captions=[
-            render_caption(record, kind, include_zero_grades, include_demographics)
-            for kind in TEMPLATE_ORDER
-        ]
-    )
+) -> List[Caption]:
+    """One caption per template kind, in TEMPLATE_ORDER, all sharing the record's signature."""
+    return [
+        render_caption(record, kind, include_zero_grades, include_demographics)
+        for kind in TEMPLATE_ORDER
+    ]
 
 
 def _split_into_sentences(text: str) -> List[Tuple[str, int]]:
@@ -423,32 +410,21 @@ _STRUCTURE_WORDS = (
 _TOKEN_RE = re.compile(r"[^\s.,:]+|[.,:]")
 
 
-@dataclass(frozen=True)
 class Vocabulary:
     """Closed token inventory of the caption grammar plus <pad>/<unk>."""
 
-    tokens: Tuple[str, ...]
+    pad_index = 0
+    unk_index = 1
 
-    @property
-    def pad_index(self) -> int:
-        return 0
-
-    @property
-    def unk_index(self) -> int:
-        return 1
+    def __init__(self, tokens: Tuple[str, ...]):
+        self.tokens = tokens
+        self._indices = {token: i for i, token in enumerate(tokens)}
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def index(self, token: str) -> int:
-        return self._lookup().get(token, self.unk_index)
-
-    def _lookup(self) -> Dict[str, int]:
-        cached = getattr(self, "_lookup_cache", None)
-        if cached is None:
-            cached = {token: i for i, token in enumerate(self.tokens)}
-            object.__setattr__(self, "_lookup_cache", cached)
-        return cached
+        return self._indices.get(token, self.unk_index)
 
 
 def build_vocabulary() -> Vocabulary:

@@ -44,13 +44,25 @@ def _load_config(path: Optional[str]) -> Dict:
     from .synth import SynthConfig
     from .training import TrainConfig
 
-    # flat key space: synth + training fields plus the dataset and eval knobs
-    keys = {f.name for cls in (SynthConfig, TrainConfig) for f in fields(cls)}
-    keys |= {"n", "ratios", "k", "baseline_draws", "split"}
-    unknown = set(config) - keys
+    # flat key space: synth + training fields plus the dataset and eval knobs,
+    # each with the JSON types its value may have
+    types = {f.name: (type(f.default),) for cls in (SynthConfig, TrainConfig) for f in fields(cls)}
+    types.update(n=(int,), ratios=(list, str), k=(int,), baseline_draws=(int,), split=(str,))
+    unknown = set(config) - set(types)
     if unknown:
         raise UsageError(f"unknown config key {sorted(unknown)[0]!r}")
+    for key, value in config.items():
+        if not _has_type(value, types[key]):
+            names = " or ".join(t.__name__ for t in types[key])
+            raise UsageError(f"config key {key!r} must be {names}, got {value!r}")
     return config
+
+
+def _has_type(value, expected: tuple) -> bool:
+    """isinstance, except that a bool is no number and an int also passes as a float."""
+    if isinstance(value, bool):
+        return bool in expected
+    return isinstance(value, expected + ((int,) if float in expected else ()))
 
 
 def _merged(args: argparse.Namespace, config: Dict, key: str, default):
@@ -182,21 +194,17 @@ def _iter_records(args):
 
 def _cmd_captions(args, config) -> int:
     from .captions import build_caption_bag
+    from .synth import write_atomic
 
     if (args.record is None) == (args.manifest is None):
         raise UsageError("captions needs exactly one of --record or --manifest")
     include_zero = _merged(args, config, "include_zero_grades", True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for record in _iter_records(args):
-            bag = build_caption_bag(record, include_zero, args.include_demographics)
-            for caption in bag.captions:
-                fh.write(
-                    json.dumps(
-                        {"id": record.id, "kind": caption.kind.value, "text": caption.text},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+    lines = [
+        json.dumps({"id": record.id, "kind": c.kind.value, "text": c.text}, sort_keys=True) + "\n"
+        for record in _iter_records(args)
+        for c in build_caption_bag(record, include_zero, args.include_demographics)
+    ]
+    write_atomic(args.out, "".join(lines).encode("utf-8"))
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -122,27 +122,15 @@ class DualEncoder:
     def param(self, name: str) -> Parameter:
         return self._params[name]
 
-    def param_groups(self) -> Dict[str, List[str]]:
-        """Names per learning-rate group: image encoder, text encoder, projection."""
-        groups: Dict[str, List[str]] = {"image": [], "text": [], "projection": []}
-        for name in self._params:
-            if name.startswith("image."):
-                groups["image"].append(name)
-            elif name.startswith("text."):
-                groups["text"].append(name)
-            else:
-                groups["projection"].append(name)
-        return groups
-
     def zero_grad(self) -> None:
         for p in self._params.values():
-            p.zero_grad()
+            p.grad = None
 
     # -- forward ---------------------------------------------------------------
 
     def _conv_block(self, x: Tensor, name: str, stride: int) -> Tensor:
-        y = nn.conv2d(x, self._params[name + ".weight"].value, stride=stride)
-        return nn.relu(nn.add(y, self._params[name + ".bias"].value))
+        y = nn.conv2d(x, self._params[name + ".weight"], stride=stride)
+        return nn.relu(nn.add(y, self._params[name + ".bias"]))
 
     def image_features(self, images: np.ndarray) -> Tuple[Tensor, Tensor]:
         """Final conv-stage activations [N, h, w, C3] and pooled embedding [N, C3]."""
@@ -172,8 +160,8 @@ class DualEncoder:
         if idx.ndim != 2 or idx.shape[1] != self.cfg.max_len:
             raise nn.ShapeError(f"expected tokens of shape [N, {self.cfg.max_len}]")
         # a caption is a one-row channels-last image [N, 1, L, D]
-        x = nn.embedding(self._params["text.token_embedding"].value, idx[:, None])
-        x = nn.add(x, self._params["text.pos_embedding"].value)
+        x = nn.embedding(self._params["text.token_embedding"], idx[:, None])
+        x = nn.add(x, self._params["text.pos_embedding"])
         x = self._conv_block(x, "text.conv1", stride=1)
         x = self._conv_block(x, "text.conv2", stride=1)
 
@@ -186,13 +174,13 @@ class DualEncoder:
         """Linear head + l2 normalization; rows come out unit-norm."""
         if modality not in ("image", "text"):
             raise ValueError("modality must be 'image' or 'text'")
-        w = self._params[f"proj.{modality}.weight"].value
-        b = self._params[f"proj.{modality}.bias"].value
+        w = self._params[f"proj.{modality}.weight"]
+        b = self._params[f"proj.{modality}.bias"]
         return nn.l2_normalize(nn.linear(embeddings, w, b))
 
     def temperature(self) -> Tensor:
         """tau = clamp(exp(log_temperature), TAU_MIN, TAU_MAX)."""
-        return nn.clamp(nn.exp(self._params["log_temperature"].value), TAU_MIN, TAU_MAX)
+        return nn.clamp(nn.exp(self._params["log_temperature"]), TAU_MIN, TAU_MAX)
 
 
 def similarity_matrix(image_proj: Tensor, text_proj: Tensor) -> Tensor:

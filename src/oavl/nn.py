@@ -2,10 +2,11 @@
 
 Tensors wrap numpy arrays (float32 for training, float64 for gradient
 checking); each op builds the graph with a closure that routes the output
-gradient back to its parents. Spatial data is channels-last [N, H, W, C]:
-images as they are, captions as one-row images [N, 1, L, D], so one conv2d
-serves both encoders. A finite-difference checker validates every backward
-rule.
+gradient back to its parents. A Parameter is a leaf Tensor that also holds
+its Adam state, so ops take it directly. Spatial data is channels-last
+[N, H, W, C]: images as they are, captions as one-row images [N, 1, L, D],
+so one conv2d serves both encoders. A finite-difference checker validates
+every backward rule.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def _record_branch(mask: np.ndarray) -> None:
 class Tensor:
     """One node of the computation graph.
 
-    Leaves default to requires_grad=False (constants, inputs); Parameter
-    values flip it on, and op outputs inherit it from their parents, so the
+    Leaves default to requires_grad=False (constants, inputs); Parameters
+    flip it on, and op outputs inherit it from their parents, so the
     backward sweep never touches branches no parameter feeds.
     """
 
@@ -409,31 +410,16 @@ def softmax_cross_entropy(logits: TensorLike, targets: np.ndarray) -> Tensor:
 # --- parameters and the optimizer -------------------------------------------
 
 
-class Parameter:
-    """A trainable tensor with its Adam state (m, v, step count)."""
+class Parameter(Tensor):
+    """A trainable leaf tensor with its Adam state (m, v, step count t)."""
 
-    __slots__ = ("value", "m", "v", "t")
+    __slots__ = ("m", "v", "t")
 
     def __init__(self, data: np.ndarray):
-        self.value = Tensor(np.asarray(data), requires_grad=True)
-        self.m = np.zeros_like(self.value.data)
-        self.v = np.zeros_like(self.value.data)
+        super().__init__(data, requires_grad=True)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
         self.t = 0
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @data.setter
-    def data(self, new: np.ndarray) -> None:
-        self.value.data = new
-
-    @property
-    def grad(self) -> Optional[np.ndarray]:
-        return self.value.grad
-
-    def zero_grad(self) -> None:
-        self.value.grad = None
 
 
 class MissingGradientError(RuntimeError):
@@ -449,17 +435,17 @@ def adam_step(
     weight_decay: float = 1e-3,
 ) -> None:
     """Decoupled weight decay (p -= lr*wd*p), then bias-corrected Adam."""
-    g = p.value.grad
+    g = p.grad
     if g is None:
         raise MissingGradientError("adam_step called before backward populated the gradient")
     if weight_decay:
-        p.value.data -= lr * weight_decay * p.value.data
+        p.data -= lr * weight_decay * p.data
     p.t += 1
     p.m = beta1 * p.m + (1.0 - beta1) * g
     p.v = beta2 * p.v + (1.0 - beta2) * (g * g)
     m_hat = p.m / (1.0 - beta1**p.t)
     v_hat = p.v / (1.0 - beta2**p.t)
-    p.value.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # --- gradient checking -------------------------------------------------------

@@ -124,10 +124,22 @@ def _disk_mask(height: int, width: int, cy: int, cx: int, radius: int) -> np.nda
     return (yy - cy) ** 2 + (xx - cx) ** 2 <= radius**2
 
 
+def _rect_mask(geo: _Geometry, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """Boolean [height, width] mask of rows r0..r1 and columns c0..c1, inclusive."""
+    m = np.zeros((geo.height, geo.width), dtype=bool)
+    m[r0 : r1 + 1, c0 : c1 + 1] = True
+    return m
+
+
 def _canonical_render(
     record: OaScoreRecord, geo: _Geometry
-) -> Tuple[np.ndarray, Dict[str, np.ndarray], Dict[int, int]]:
-    """Noise-free, shift-free canonical image plus per-feature touched-pixel masks."""
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """Noise-free, shift-free canonical image plus each finding's pixel mask.
+
+    Masks are keyed "feature/compartment". Chondrocalcinosis speckles are
+    drawn from the render seed, so its joint-gap masks are returned but left
+    for :func:`render_image` to fill.
+    """
     h, w = geo.height, geo.width
     img = np.full((h, w), _BACKGROUND, dtype=np.float64)
     masks: Dict[str, np.ndarray] = {}
@@ -145,13 +157,12 @@ def _canonical_render(
         tibia_tops[half] = top
         img[top : bottom + 1, c0 : c1 + 1] = _BAND
         if jsn_g > 0:
-            m = np.zeros((h, w), dtype=bool)
-            m[top : geo.tibia_top, c0 : c1 + 1] = True
-            masks["jsn/j" + suffix] = m
+            masks["jsn/j" + suffix] = _rect_mask(geo, top, geo.tibia_top - 1, c0, c1)
         if attr_g > 0:
-            m = np.zeros((h, w), dtype=bool)
-            m[bottom + 1 : geo.tibia_bottom + 1, c0 : c1 + 1] = True
-            masks["attrition/t" + suffix] = m
+            masks["attrition/t" + suffix] = _rect_mask(geo, bottom + 1, geo.tibia_bottom, c0, c1)
+        if record.chondrocalcinosis["j" + suffix]:
+            gap = _rect_mask(geo, geo.femur_bottom + 1, top - 1, c0, c1)
+            masks["chondrocalcinosis/j" + suffix] = gap
 
     for comp, g in record.sclerosis.items():
         if g == 0:
@@ -165,15 +176,12 @@ def _canonical_render(
             r0 = tibia_tops[half]
             r1 = r0 + geo.sclerosis_strip - 1
         img[r0 : r1 + 1, c0 : c1 + 1] += _SCLEROSIS_DELTA * g
-        m = np.zeros((h, w), dtype=bool)
-        m[r0 : r1 + 1, c0 : c1 + 1] = True
-        masks["sclerosis/" + comp] = m
+        masks["sclerosis/" + comp] = _rect_mask(geo, r0, r1, c0, c1)
 
     for comp, g in record.osteophytes.items():
         if g == 0:
             continue
         half = _HALF_OF[comp]
-        c0, c1 = geo.half_cols[half]
         width_px = geo.spur_width * g
         if half == 0:
             s0, s1 = 0, min(width_px - 1, w - 1)
@@ -186,9 +194,7 @@ def _canonical_render(
             r0 = tibia_tops[half]
             r1 = r0 + geo.spur_height - 1
         img[r0 : r1 + 1, s0 : s1 + 1] = _BRIGHT
-        m = np.zeros((h, w), dtype=bool)
-        m[r0 : r1 + 1, s0 : s1 + 1] = True
-        masks["osteophytes/" + comp] = m
+        masks["osteophytes/" + comp] = _rect_mask(geo, r0, r1, s0, s1)
 
     for comp, present in record.cysts.items():
         if not present:
@@ -204,14 +210,7 @@ def _canonical_render(
         img[disk] += _CYST_DELTA
         masks["cysts/" + comp] = disk
 
-    return img, masks, tibia_tops
-
-
-def _chondro_gap_mask(geo: _Geometry, half: int, tibia_top: int) -> np.ndarray:
-    m = np.zeros((geo.height, geo.width), dtype=bool)
-    c0, c1 = geo.half_cols[half]
-    m[geo.femur_bottom + 1 : tibia_top, c0 : c1 + 1] = True
-    return m
+    return img, masks
 
 
 def render_image(record: OaScoreRecord, cfg: SynthConfig, seed: int) -> np.ndarray:
@@ -223,12 +222,12 @@ def render_image(record: OaScoreRecord, cfg: SynthConfig, seed: int) -> np.ndarr
     """
     cfg.validate()
     geo = _geometry(cfg.height, cfg.width)
-    img, _masks, tibia_tops = _canonical_render(record, geo)
+    img, masks = _canonical_render(record, geo)
 
     rng = make_rng(seed, "render")
-    for half, suffix in enumerate(_HALF_SUFFIX):
-        if record.chondrocalcinosis["j" + suffix]:
-            gap = _chondro_gap_mask(geo, half, tibia_tops[half])
+    for suffix in _HALF_SUFFIX:  # medial gap first: speckles follow the rng order
+        gap = masks.get("chondrocalcinosis/j" + suffix)
+        if gap is not None:
             speckles = rng.random((cfg.height, cfg.width)) < _SPECKLE_PROB
             img[gap & speckles] = _BRIGHT
 
@@ -289,12 +288,8 @@ def ground_truth_region(
         raise ValueError(f"feature absent: {name}[{comp}] has no finding")
 
     geo = _geometry(cfg.height, cfg.width)
-    _img, masks, tibia_tops = _canonical_render(record, geo)
-    if name == "chondrocalcinosis":
-        half = _HALF_OF[comp]
-        mask = _chondro_gap_mask(geo, half, tibia_tops[half])
-    else:
-        mask = masks[f"{name}/{comp}"]
+    _img, masks = _canonical_render(record, geo)
+    mask = masks[f"{name}/{comp}"]
     if record.side == "right":
         mask = mask[:, ::-1]
     return GroundTruthRegion(feature=feature, mask=_dilate(mask, cfg.max_shift))
@@ -399,7 +394,11 @@ def read_manifest(path: str) -> DatasetManifest:
     entries: List[ManifestEntry] = []
     seen_ids = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue

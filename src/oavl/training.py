@@ -179,12 +179,12 @@ def train_step(
             f"non-finite loss: total={values[0]}, infonce={values[1]}, negative={values[2]}"
         )
     total.backward()
-    rates = {"image": cfg.lr_image, "text": cfg.lr_text, "projection": cfg.lr_projection}
-    for group, names in model.param_groups().items():
-        lr = rates[group]
-        for name in names:
-            decay = 0.0 if name == "log_temperature" else cfg.weight_decay
-            nn.adam_step(model.param(name), lr=lr, weight_decay=decay)
+    # image.* and text.* take their encoder's rate; proj.* and log_temperature the projection's
+    rates = {"image": cfg.lr_image, "text": cfg.lr_text}
+    for name, p in model.parameters().items():
+        lr = rates.get(name.split(".", 1)[0], cfg.lr_projection)
+        decay = 0.0 if name == "log_temperature" else cfg.weight_decay
+        nn.adam_step(p, lr=lr, weight_decay=decay)
     return values
 
 
@@ -349,17 +349,29 @@ def _serialize_tensor(out: io.BytesIO, name: str, payload: bytes, dtype: int, di
     out.write(payload)
 
 
+# (tensor-name suffix, Parameter attribute) of each parameter's Adam state;
+# the step count t is stored as a float32 tensor of shape (1,)
+_OPTIM_SLOTS = ((".m", "m"), (".v", "v"), (".t", "t"))
+
+
+def _checkpoint_slots(model: DualEncoder) -> List[Tuple[str, nn.Parameter, str, Tuple[int, ...]]]:
+    """(tensor name, parameter, attribute, dims) per saved slot, in file order.
+
+    Every parameter's value first, then each parameter's Adam state in turn.
+    """
+    params = model.parameters().items()
+    slots = [(name, p, "data") for name, p in params]
+    for name, p in params:
+        slots += [(f"optim.{name}{suffix}", p, attr) for suffix, attr in _OPTIM_SLOTS]
+    return [(key, p, attr, (1,) if attr == "t" else p.data.shape) for key, p, attr in slots]
+
+
 def save_checkpoint(path: str, model: DualEncoder, cfg: TrainConfig, epoch: int) -> None:
     """Write the binary checkpoint atomically: magic, version, tensors, payload CRC32."""
-    tensors: List[Tuple[str, bytes, int, Tuple[int, ...]]] = []
-    for name, p in model.parameters().items():
-        tensors.append((name, p.data.astype("<f4").tobytes(), _DTYPE_F32, p.data.shape))
-    for name, p in model.parameters().items():
-        tensors.append((f"optim.{name}.m", p.m.astype("<f4").tobytes(), _DTYPE_F32, p.m.shape))
-        tensors.append((f"optim.{name}.v", p.v.astype("<f4").tobytes(), _DTYPE_F32, p.v.shape))
-        tensors.append(
-            (f"optim.{name}.t", np.asarray([p.t], dtype="<f4").tobytes(), _DTYPE_F32, (1,))
-        )
+    tensors = [
+        (key, np.asarray(getattr(p, attr), dtype="<f4").tobytes(), _DTYPE_F32, dims)
+        for key, p, attr, dims in _checkpoint_slots(model)
+    ]
     meta = {
         "epoch": epoch,
         "model": model.cfg.to_json_dict(),
@@ -435,24 +447,14 @@ def load_checkpoint(path: str) -> Checkpoint:
     except (ValueError, TypeError, KeyError) as exc:
         raise CheckpointError(f"malformed checkpoint config: {exc!r}") from exc
     model = DualEncoder(model_cfg, seed=train_cfg.seed)
-    for name, p in model.parameters().items():
-        for key, target in ((name, "param"), (f"optim.{name}.m", "m"), (f"optim.{name}.v", "v")):
-            if key not in tensors:
-                raise CheckpointError(f"checkpoint is missing tensor {key!r}")
-            dtype, dims, payload = tensors[key]
-            if dtype != _DTYPE_F32 or dims != p.data.shape:
-                raise CheckpointError(f"tensor {key!r} has unexpected dtype/shape")
-            values = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
-            if target == "param":
-                p.value.data = values.copy()
-            elif target == "m":
-                p.m = values.copy()
-            else:
-                p.v = values.copy()
-        t_key = f"optim.{name}.t"
-        if t_key not in tensors:
-            raise CheckpointError(f"checkpoint is missing tensor {t_key!r}")
-        p.t = int(np.frombuffer(tensors[t_key][2], dtype="<f4")[0])
+    for key, p, attr, dims in _checkpoint_slots(model):
+        if key not in tensors:
+            raise CheckpointError(f"checkpoint is missing tensor {key!r}")
+        dtype, stored_dims, payload = tensors[key]
+        if dtype != _DTYPE_F32 or stored_dims != dims:
+            raise CheckpointError(f"tensor {key!r} has unexpected dtype/shape")
+        values = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+        setattr(p, attr, int(values[0]) if attr == "t" else values)
     return Checkpoint(model=model, train_config=train_cfg, epoch=epoch)
 
 

@@ -86,7 +86,7 @@ def test_criterion_1_gradient_fidelity():
     worst_model = 0.0
     for seed in range(20):
         model, f = build_fd_model_and_loss(seed)
-        params = [p.value for p in model.parameters().values()]
+        params = list(model.parameters().values())
         worst_model = max(worst_model, finite_difference_check(f, params, h=1e-6, max_coords=8))
     elapsed = time.monotonic() - start
     _report(

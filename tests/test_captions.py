@@ -106,7 +106,7 @@ class TestRender:
 class TestCaptionBag:
     def test_bag_has_one_caption_per_kind(self):
         bag = build_caption_bag(sample_record(make_rng(2), "b"))
-        assert [c.kind for c in bag.captions] == [
+        assert [c.kind for c in bag] == [
             TemplateKind.ABNORMALITY,
             TemplateKind.LOCATION,
             TemplateKind.OVERALL,
@@ -115,7 +115,7 @@ class TestCaptionBag:
     def test_bag_shares_signature(self):
         record = sample_record(make_rng(3), "b")
         bag = build_caption_bag(record)
-        assert {c.signature for c in bag.captions} == {severity_signature(record)}
+        assert {c.signature for c in bag} == {severity_signature(record)}
 
     def test_negative_bag_differs_in_every_graded_clause(self):
         rng = make_rng(17)
@@ -231,7 +231,7 @@ class TestTokenizer:
             for source in (record, negative):
                 bag = build_caption_bag(source, include_zero_grades=True,
                                         include_demographics=True)
-                for caption in bag.captions:
+                for caption in bag:
                     tokens = tokenize(caption.text, vocab)
                     assert not (tokens == vocab.unk_index).any()
 

@@ -89,6 +89,51 @@ def test_config_file_may_set_every_config_field(tmp_path):
     assert load_checkpoint(str(ckpt)).train_config == train_cfg
 
 
+def _command(name, dataset_dir, trained, tmp_path):
+    """Arguments that run one subcommand on the module's dataset and checkpoint."""
+    manifest = str(dataset_dir / "manifest.jsonl")
+    return {
+        "synth": ["synth", "--n", "12", "--out-dir", str(tmp_path / "data")],
+        "train": ["train", "--manifest", manifest, "--out", str(tmp_path / "m.bin"), "--quiet"],
+        "retrieval": [
+            "eval", "retrieval", "--checkpoint", str(trained[0]), "--manifest", manifest,
+            "--out", str(tmp_path / "retr"), "--baseline-draws", "5",
+        ],
+    }[name]
+
+
+# (case, subcommand, config file whose only value has the wrong JSON type)
+WRONG_TYPE_CONFIGS = [
+    ("epochs-string", "train", {"epochs": "3"}),
+    ("epochs-bool", "train", {"epochs": True}),
+    ("height-string", "synth", {"height": "64"}),
+    ("seed-float", "synth", {"seed": 1.5}),
+    ("k-string", "retrieval", {"k": "5"}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config", [c[1:] for c in WRONG_TYPE_CONFIGS], ids=[c[0] for c in WRONG_TYPE_CONFIGS]
+)
+def test_config_value_of_wrong_type_is_validation_error(
+    command, config, dataset_dir, trained, tmp_path, capsys
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["--config", str(path)] + _command(command, dataset_dir, trained, tmp_path))
+    assert code == EXIT_VALIDATION
+    assert f"config key {next(iter(config))!r}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_config_int_passes_as_float(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"noise_sigma": 0, "n": 12, "height": 32, "width": 32}))
+    data = tmp_path / "data"
+    assert main(["--config", str(path), "synth", "--out-dir", str(data)]) == EXIT_OK
+    assert len(read_manifest(str(data / "manifest.jsonl")).entries) == 12
+
+
 class TestSynth:
     def test_writes_manifest_and_images(self, dataset_dir):
         manifest = read_manifest(str(dataset_dir / "manifest.jsonl"))
@@ -138,6 +183,24 @@ class TestCaptions:
         out = tmp_path / "c.jsonl"
         assert main(["captions", "--out", str(out)]) == EXIT_VALIDATION
 
+    def test_failed_write_keeps_previous_captions(self, tmp_path, monkeypatch):
+        out = tmp_path / "captions.jsonl"
+        record = tmp_path / "record.json"
+        record.write_text(json.dumps(make_record(kl=2).to_json_dict()))
+        assert main(["captions", "--record", str(record), "--out", str(out)]) == EXIT_OK
+        before = out.read_bytes()
+
+        class DiskFull(io.FileIO):
+            def write(self, data):
+                super().write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        record.write_text(json.dumps(make_record(kl=4).to_json_dict()))
+        monkeypatch.setattr("oavl.synth.open", DiskFull, raising=False)
+        assert main(["captions", "--record", str(record), "--out", str(out)]) == EXIT_IO
+        assert out.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["captions.jsonl", "record.json"]
+
 
 class TestTrain:
     def test_malformed_manifest_record_is_io_error(self, dataset_dir, tmp_path):
@@ -149,6 +212,15 @@ class TestTrain:
         ckpt = tmp_path / "m.bin"
         code = main(["train", "--manifest", str(manifest), "--out", str(ckpt), "--quiet"])
         assert code == EXIT_IO
+        assert not ckpt.exists()
+
+    def test_manifest_not_utf8_is_io_error(self, dataset_dir, tmp_path, capsys):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_bytes((dataset_dir / "manifest.jsonl").read_bytes() + b"\xff\n")
+        ckpt = tmp_path / "m.bin"
+        code = main(["train", "--manifest", str(manifest), "--out", str(ckpt), "--quiet"])
+        assert code == EXIT_IO
+        assert f"{manifest}: not UTF-8" in capsys.readouterr().err
         assert not ckpt.exists()
 
     def test_missing_manifest_is_io_error(self, tmp_path):
@@ -306,14 +378,10 @@ class TestEvalAndSaliency:
         assert code == EXIT_IO
 
 
-def _with_meta(src, dst, edit):
-    """Copy a checkpoint with its config JSON edited and the checksum recomputed."""
+def _with_tensor(src, dst, name, dtype, dims, payload):
+    """Copy a checkpoint with one tensor replaced and the checksum recomputed."""
     tensors = _read_checkpoint_tensors(str(src))
-    meta = tensors["meta.config_json"][2]
-    meta = edit(json.loads(meta)) if callable(edit) else edit
-    if isinstance(meta, dict):
-        meta = json.dumps(meta).encode("utf-8")
-    tensors["meta.config_json"] = (1, (len(meta),), meta)
+    tensors[name] = (dtype, dims, payload)
     out = io.BytesIO()
     out.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
     crc = 0
@@ -321,6 +389,15 @@ def _with_meta(src, dst, edit):
         _serialize_tensor(out, name, payload, dtype, dims)
         crc = zlib.crc32(payload, crc)
     dst.write_bytes(out.getvalue() + struct.pack("<I", crc))
+
+
+def _with_meta(src, dst, edit):
+    """Copy a checkpoint with its config JSON edited and the checksum recomputed."""
+    meta = _read_checkpoint_tensors(str(src))["meta.config_json"][2]
+    meta = edit(json.loads(meta)) if callable(edit) else edit
+    if isinstance(meta, dict):
+        meta = json.dumps(meta).encode("utf-8")
+    _with_tensor(src, dst, "meta.config_json", 1, (len(meta),), meta)
 
 
 def _drop(key):
@@ -429,6 +506,18 @@ class TestMalformedCheckpoint:
         _with_meta(ckpt, bad, MALFORMED_CONFIGS[case])
         assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
         assert "malformed checkpoint config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dtype, dims, payload", [(0, (0,), b""), (1, (3,), b"abc")], ids=["empty-f32", "u8"]
+    )
+    def test_malformed_step_count_is_io_error(
+        self, dtype, dims, payload, dataset_dir, trained, tmp_path, capsys
+    ):
+        ckpt, _ = trained
+        bad = tmp_path / "bad.bin"
+        _with_tensor(ckpt, bad, "optim.log_temperature.t", dtype, dims, payload)
+        assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
+        assert "'optim.log_temperature.t' has unexpected dtype/shape" in capsys.readouterr().err
 
     def test_tensor_name_not_utf8_is_io_error(self, dataset_dir, trained, tmp_path):
         ckpt, _ = trained

@@ -307,6 +307,6 @@ def test_full_model_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(5):
         model, f = build_fd_model_and_loss(seed)
-        params = [p.value for p in model.parameters().values()]
+        params = list(model.parameters().values())
         worst = max(worst, finite_difference_check(f, params, h=1e-6, max_coords=6))
     assert worst <= 1e-4, worst

@@ -152,32 +152,32 @@ class TestSoftmaxCrossEntropy:
 class TestAdam:
     def test_first_step_magnitude_near_lr(self):
         p = Parameter(np.array([1.0], dtype=np.float32))
-        p.value.grad = np.array([0.25], dtype=np.float32)
+        p.grad = np.array([0.25], dtype=np.float32)
         adam_step(p, lr=1e-2, weight_decay=0.0)
         assert p.t == 1
         assert np.isclose(p.data[0], 1.0 - 1e-2, atol=1e-6)
 
     def test_first_step_sign_follows_gradient(self):
         p = Parameter(np.zeros(2, dtype=np.float32))
-        p.value.grad = np.array([3.0, -0.5], dtype=np.float32)
+        p.grad = np.array([3.0, -0.5], dtype=np.float32)
         adam_step(p, lr=1e-3, weight_decay=0.0)
         assert p.data[0] < 0 < p.data[1]
 
     def test_zero_grad_no_decay_is_identity(self):
         p = Parameter(np.array([2.0], dtype=np.float32))
-        p.value.grad = np.zeros(1, dtype=np.float32)
+        p.grad = np.zeros(1, dtype=np.float32)
         adam_step(p, lr=1e-2, weight_decay=0.0)
         assert p.data[0] == np.float32(2.0)
 
     def test_zero_grad_with_decay_scales(self):
         p = Parameter(np.array([2.0], dtype=np.float32))
-        p.value.grad = np.zeros(1, dtype=np.float32)
+        p.grad = np.zeros(1, dtype=np.float32)
         adam_step(p, lr=1e-2, weight_decay=1e-3)
         assert np.isclose(p.data[0], 2.0 * (1 - 1e-2 * 1e-3), rtol=1e-7)
 
     def test_lr_zero_is_identity(self):
         p = Parameter(np.array([1.5], dtype=np.float32))
-        p.value.grad = np.array([4.0], dtype=np.float32)
+        p.grad = np.array([4.0], dtype=np.float32)
         adam_step(p, lr=0.0, weight_decay=1e-3)
         assert p.data[0] == np.float32(1.5)
 
@@ -187,7 +187,7 @@ class TestAdam:
 
     def test_dtype_preserved(self):
         p = Parameter(np.ones(3, dtype=np.float32))
-        p.value.grad = np.ones(3, dtype=np.float32)
+        p.grad = np.ones(3, dtype=np.float32)
         adam_step(p, lr=1e-3)
         assert p.data.dtype == np.float32
         assert p.m.dtype == np.float32 and p.v.dtype == np.float32

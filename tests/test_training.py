@@ -149,6 +149,22 @@ class TestTrainStep:
         for name, p in model.parameters().items():
             assert np.array_equal(p.data, before[name]), name
 
+    def test_each_group_steps_at_its_own_rate(self):
+        # a first Adam step moves p to p * (1 - lr * decay) - lr * g / (|g| + eps)
+        cfg = tiny_model_cfg()
+        model = DualEncoder(cfg, seed=4)
+        before = {k: p.data.astype(np.float64) for k, p in model.parameters().items()}
+        train_cfg = TrainConfig(lr_image=1e-2, lr_text=2e-2, lr_projection=4e-2, weight_decay=0.5)
+        train_step(model, *random_batch(cfg, seed=4), train_cfg)
+        rates = {"image": 1e-2, "text": 2e-2, "proj": 4e-2, "log_temperature": 4e-2}
+        for name, p in model.parameters().items():
+            lr = rates[name.split(".")[0]]
+            decay = 0.0 if name == "log_temperature" else train_cfg.weight_decay
+            g = p.grad.astype(np.float64)
+            assert np.abs(g).max() > 1e-4, name
+            expected = before[name] * (1.0 - lr * decay) - lr * g / (np.abs(g) + 1e-8)
+            np.testing.assert_allclose(p.data, expected, rtol=0, atol=1e-6, err_msg=name)
+
     def test_two_steps_descend_in_most_trials(self):
         cfg = tiny_model_cfg()
         descents = 0
