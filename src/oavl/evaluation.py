@@ -190,6 +190,51 @@ def bleu4(candidate: Sequence[str], reference: Sequence[str]) -> float:
     return bp * math.exp(log_sum / 4.0)
 
 
+def bleu4_pairs(
+    pool_words: Sequence[Sequence[str]], pairs: Sequence[Tuple[int, int]]
+) -> List[float]:
+    """``bleu4(pool_words[c], pool_words[r])`` for each pair (c, r), bit for bit.
+
+    Each order's n-grams are interned once over the pool into a count
+    matrix [pool, distinct n-grams], so the clipped counts of every pair
+    come from one element-wise minimum; the scores then follow bleu4's own
+    log/exp sequence.
+    """
+    if any(not pool_words[c] or not pool_words[r] for c, r in pairs):
+        raise ValueError("empty candidate or reference")
+    cand = np.asarray([c for c, _ in pairs], dtype=np.intp)
+    ref = np.asarray([r for _, r in pairs], dtype=np.intp)
+    clipped = []
+    for n in range(1, 5):
+        index: Dict[Tuple[str, ...], int] = {}
+        rows = [
+            [index.setdefault(tuple(w[i : i + n]), len(index)) for i in range(len(w) + 1 - n)]
+            for w in pool_words
+        ]
+        width = len(index)
+        flat = np.asarray([row * width + g for row, ids in enumerate(rows) for g in ids], np.intp)
+        counts = np.bincount(flat, minlength=len(rows) * width).reshape(len(rows), width)
+        clipped.append(np.minimum(counts[cand], counts[ref]).sum(axis=1).tolist())
+    return [
+        _bleu4_from_counts(hits, len(pool_words[c]), len(pool_words[r]))
+        for (c, r), hits in zip(pairs, zip(*clipped))
+    ]
+
+
+def _bleu4_from_counts(clipped: Sequence[int], c: int, r: int) -> float:
+    """bleu4's arithmetic from the clipped n-gram counts (n = 1..4) and the two lengths.
+
+    A candidate shorter than n has no n-grams, so its clipped count is 0 too.
+    """
+    log_sum = 0.0
+    for n, hits in enumerate(clipped, start=1):
+        if hits == 0:
+            return 0.0
+        log_sum += math.log(hits / (c - n + 1))
+    bp = 1.0 if c > r else math.exp(1.0 - r / c)
+    return bp * math.exp(log_sum / 4.0)
+
+
 def retrieval_eval(
     model: DualEncoder,
     entries: Sequence[ManifestEntry],
@@ -215,27 +260,25 @@ def retrieval_eval(
 
     k = min(k, len(entries))
     hits = {kk: 0 for kk in (1, 5, 10) if kk <= k}
-    top1_scores = []
-    per_image = []
-    for i, entry in enumerate(entries):
+    pairs = []  # (candidate, reference) pool indices: top-1 per query, then baseline draws
+    for i in range(len(entries)):
         ranked = retrieve_topk(image_proj[i], pool_proj, k)
-        top1 = int(ranked[0])
-        score = bleu4(pool_words[top1], pool_words[i])
-        top1_scores.append(score)
+        pairs.append((int(ranked[0]), i))
         for kk in hits:
             if i in ranked[:kk]:
                 hits[kk] += 1
-        per_image.append(
-            {"id": entry.record.id, "top1_id": entries[top1].record.id, "top1_bleu4": score}
-        )
-
     rng = make_rng(seed, "retrieval-baseline")
-    baseline = []
     for _ in range(baseline_draws):
         i = int(rng.integers(0, len(entries)))
         j = int(rng.integers(0, len(entries)))
-        baseline.append(bleu4(pool_words[j], pool_words[i]))
+        pairs.append((j, i))
 
+    scores = bleu4_pairs(pool_words, pairs)
+    top1_scores, baseline = scores[: len(entries)], scores[len(entries) :]
+    per_image = [
+        {"id": entry.record.id, "top1_id": entries[top1].record.id, "top1_bleu4": score}
+        for entry, (top1, _), score in zip(entries, pairs, top1_scores)
+    ]
     return RetrievalResult(
         mean_top1_bleu4=float(np.mean(top1_scores)),
         random_baseline_bleu4=float(np.mean(baseline)),
@@ -275,15 +318,21 @@ def grad_cam(
     Channel weights are the spatial mean of the target's gradient on the
     final conv activations; the relu-ed weighted sum is upsampled to the
     input size and normalized to [0, 1] (an all-zero map stays zero).
+    The backward sweep starts from those activations as a fresh leaf, so
+    it runs the pooling and projection head only, never the convolutions.
     """
     words = split_text(prompt)
     unknown = [w for w in words if vocab.index(w) == vocab.unk_index]
     if unknown:
         raise ValueError(f"prompt tokenization failure: unknown token {unknown[0]!r}")
+    if len(words) > model.cfg.max_len:
+        raise ValueError(
+            f"prompt has {len(words)} tokens, more than the model's max_len {model.cfg.max_len}"
+        )
     prompt_vec = embed_texts(model, vocab, [prompt])[0]
 
-    acts, pooled = model.image_features(image[None, None])
-    image_proj = model.project(pooled, "image")
+    acts = nn.Tensor(model.image_features(image[None, None])[0].data, requires_grad=True)
+    image_proj = model.project(nn.mean_pool(acts), "image")
     target = nn.tsum(nn.mul(image_proj, nn.Tensor(prompt_vec[None, :].astype(model.dtype))))
     model.zero_grad()
     target.backward()

@@ -8,6 +8,7 @@ them and synthetic images encode them pixel by pixel.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from typing import Dict, NamedTuple, Tuple
 
@@ -152,6 +153,11 @@ def _check_map(feature: Feature, value) -> None:
             raise ScoreValidationError(f"{feature.name}[{key}]", "unknown compartment")
 
 
+# Unicode category Cc. Ids key the random streams, and derive_seed does not
+# length-prefix strings, so "a" and "a\x00" would share every stream.
+_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
+
 def validate_record(record: OaScoreRecord) -> OaScoreRecord:
     """Check every schema invariant; return the record unchanged if all hold.
 
@@ -159,6 +165,8 @@ def validate_record(record: OaScoreRecord) -> OaScoreRecord:
     """
     if not isinstance(record.id, str) or not record.id:
         raise ScoreValidationError("id", "must be a non-empty string")
+    if _CONTROL_CHAR.search(record.id):
+        raise ScoreValidationError("id", f"must not contain a control character, got {record.id!r}")
     if record.side not in SIDES:
         raise ScoreValidationError("side", f"must be one of {SIDES}")
     if isinstance(record.age, bool) or not isinstance(record.age, int):

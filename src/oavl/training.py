@@ -454,7 +454,14 @@ def load_checkpoint(path: str) -> Checkpoint:
         if dtype != _DTYPE_F32 or stored_dims != dims:
             raise CheckpointError(f"tensor {key!r} has unexpected dtype/shape")
         values = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
-        setattr(p, attr, int(values[0]) if attr == "t" else values)
+        if attr == "t":
+            step = float(values[0])
+            if not (math.isfinite(step) and step >= 0 and step.is_integer()):
+                raise CheckpointError(
+                    f"tensor {key!r} holds step count {step!r}, not a whole number >= 0"
+                )
+            values = int(step)
+        setattr(p, attr, values)
     return Checkpoint(model=model, train_config=train_cfg, epoch=epoch)
 
 

@@ -11,6 +11,7 @@ from dataclasses import asdict
 import pytest
 
 import oavl
+from oavl.captions import split_text
 from oavl.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from oavl.synth import SynthConfig, read_manifest, read_pgm
 from oavl.training import (
@@ -223,6 +224,18 @@ class TestTrain:
         assert f"{manifest}: not UTF-8" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_manifest_id_with_control_character_is_io_error(self, dataset_dir, tmp_path, capsys):
+        lines = (dataset_dir / "manifest.jsonl").read_text().splitlines()
+        obj = json.loads(lines[0])
+        obj["id"] += "\x00"
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join([json.dumps(obj)] + lines[1:]) + "\n")
+        ckpt = tmp_path / "m.bin"
+        code = main(["train", "--manifest", str(manifest), "--out", str(ckpt), "--quiet"])
+        assert code == EXIT_IO
+        assert "control character" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_missing_manifest_is_io_error(self, tmp_path):
         ckpt = tmp_path / "m.bin"
         code = main(
@@ -362,6 +375,27 @@ class TestEvalAndSaliency:
         assert code == EXIT_OK
         assert (out / "saliency" / f"{record_id}.pgm").exists()
 
+    def test_overlong_saliency_prompt_is_validation_error(
+        self, dataset_dir, trained, tmp_path, capsys
+    ):
+        ckpt, _ = trained
+        max_len = load_checkpoint(str(ckpt)).model.cfg.max_len
+        prompt = " ".join(["severe osteoarthritis."] * max_len)
+        record_id = read_manifest(str(dataset_dir / "manifest.jsonl")).entries[0].record.id
+        out = tmp_path / "sal"
+        code = main(
+            [
+                "saliency", "--checkpoint", str(ckpt),
+                "--manifest", str(dataset_dir / "manifest.jsonl"),
+                "--id", record_id, "--prompt", prompt, "--out", str(out),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"prompt has {len(split_text(prompt))} tokens" in err
+        assert f"max_len {max_len}" in err
+        assert not out.exists()
+
     def test_corrupt_checkpoint_is_io_error(self, dataset_dir, trained, tmp_path):
         ckpt, _ = trained
         bad = tmp_path / "bad.bin"
@@ -437,6 +471,7 @@ def _pgm_header_end(blob, lines=3):
 # (case, rewrite of a valid PGM's bytes, expected message fragment)
 MALFORMED_PGMS = [
     ("bad-magic", lambda b: b"P2" + b[2:], "not a binary PGM"),
+    ("header-comment", lambda b: b.replace(b"P5\n", b"P5\n# by hand\n", 1), "size line"),
     ("empty-file", lambda b: b"", "not a binary PGM"),
     ("non-numeric-size", lambda b: b.replace(b"\n32 32\n", b"\n32 x\n", 1), "size line"),
     ("one-number-size", lambda b: b.replace(b"\n32 32\n", b"\n32\n", 1), "size line"),
@@ -518,6 +553,16 @@ class TestMalformedCheckpoint:
         _with_tensor(ckpt, bad, "optim.log_temperature.t", dtype, dims, payload)
         assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
         assert "'optim.log_temperature.t' has unexpected dtype/shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -3.0, 2.5])
+    def test_bad_step_count_value_is_io_error(
+        self, step, dataset_dir, trained, tmp_path, capsys
+    ):
+        ckpt, _ = trained
+        bad = tmp_path / "bad.bin"
+        _with_tensor(ckpt, bad, "optim.log_temperature.t", 0, (1,), struct.pack("<f", step))
+        assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
+        assert "'optim.log_temperature.t' holds step count" in capsys.readouterr().err
 
     def test_tensor_name_not_utf8_is_io_error(self, dataset_dir, trained, tmp_path):
         ckpt, _ = trained

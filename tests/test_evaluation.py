@@ -4,13 +4,18 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oavl import nn
 from oavl.captions import TemplateKind, build_vocabulary, render_caption, split_text, tokenize
 from oavl.evaluation import (
     EvalReport,
     SaliencyMap,
     ZeroShotResult,
+    _bilinear_resize,
     bleu4,
+    bleu4_pairs,
     class_prompt_vectors,
     EMBED_BATCH,
     classify_image_embeddings,
@@ -19,6 +24,7 @@ from oavl.evaluation import (
     export_report,
     grad_cam,
     localization_score,
+    retrieval_eval,
     retrieve_topk,
     zero_shot_eval,
 )
@@ -39,6 +45,18 @@ def small_model(seed=0):
         vocab_size=len(VOCAB), max_len=32,
     )
     return DualEncoder(cfg, seed=seed)
+
+
+def small_split(n, seed=9):
+    """n test-split entries with 32x32 images, keyed by record id."""
+    rng = make_rng(seed)
+    entries = []
+    images = {}
+    for i in range(n):
+        record = sample_record(rng, f"z{i}")
+        entries.append(ManifestEntry(record=record, image_path="", split="test"))
+        images[record.id] = render_image(record, SynthConfig(height=32, width=32), seed=i)
+    return entries, images
 
 
 # --- independent BLEU oracle: plain dict counting, no Counter, no logs -------
@@ -120,6 +138,39 @@ class TestBleu:
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
+class TestBleuPairs:
+    """bleu4_pairs against bleu4 itself, the oracle, with == on every score."""
+
+    def test_equals_bleu4_on_every_ordered_pair_of_a_caption_pool(self):
+        rng = make_rng(51)
+        pool = [
+            split_text(render_caption(sample_record(rng), TemplateKind.LOCATION, i % 2 == 0).text)
+            for i in range(60)
+        ]
+        pairs = [(c, r) for c in range(len(pool)) for r in range(len(pool))]
+        assert bleu4_pairs(pool, pairs) == [bleu4(pool[c], pool[r]) for c, r in pairs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=9), max_size=6))
+    def test_equals_bleu4_on_short_token_lists(self, pool):
+        pairs = [(c, r) for c in range(len(pool)) for r in range(len(pool))]
+        scores = bleu4_pairs(pool, pairs)
+        assert scores == [bleu4(pool[c], pool[r]) for c, r in pairs]
+        assert all(s == 0.0 for (c, _), s in zip(pairs, scores) if len(pool[c]) < 4)
+
+    def test_hand_counted_clipping_and_brevity_penalty(self):
+        doubled, single = list("abcdabcd"), list("abcd")
+        scores = bleu4_pairs([doubled, single], [(0, 1), (1, 0)])
+        # clipped to the reference's counts: p1..p4 = 4/8, 3/7, 2/6, 1/5 and BP = 1
+        assert scores[0] == pytest.approx((4 / 8 * 3 / 7 * 2 / 6 * 1 / 5) ** 0.25, rel=1e-12)
+        # every n-gram matches, but the candidate is half the reference: BP = e^(1 - 8/4)
+        assert scores[1] == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+    def test_empty_word_list_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            bleu4_pairs([[], ["a"]], [(1, 0)])
+
+
 class TestEmbed:
     def test_embed_images_matches_one_at_a_time(self):
         model = small_model(seed=3)
@@ -174,15 +225,7 @@ class TestZeroShot:
 
     def test_eval_confusion_consistency(self):
         model = small_model(seed=4)
-        rng = make_rng(9)
-        entries = []
-        images = {}
-        for i in range(12):
-            record = sample_record(rng, f"z{i}")
-            entries.append(ManifestEntry(record=record, image_path="", split="test"))
-            images[record.id] = render_image(
-                record, SynthConfig(height=32, width=32), seed=i
-            )
+        entries, images = small_split(12)
         result = zero_shot_eval(model, entries, images, VOCAB)
         assert result.confusion.sum() == 12
         true_counts = np.bincount([e.record.kl for e in entries], minlength=5)
@@ -229,7 +272,82 @@ class TestRetrieve:
             retrieve_topk(np.zeros(4), np.zeros((3, 4)), k=5)
 
 
+class TestRetrievalEval:
+    def test_matches_reference_loop_over_bleu4(self):
+        model = small_model(seed=4)
+        entries, images = small_split(20)
+        result = retrieval_eval(model, entries, images, VOCAB, k=5, baseline_draws=300, seed=11)
+
+        texts = [render_caption(e.record, TemplateKind.LOCATION).text for e in entries]
+        words = [split_text(t) for t in texts]
+        pool_proj = embed_texts(model, VOCAB, texts)
+        image_proj = embed_images(model, [images[e.record.id] for e in entries])
+        per_image = []
+        for i, entry in enumerate(entries):
+            top1 = int(retrieve_topk(image_proj[i], pool_proj, 5)[0])
+            per_image.append(
+                {
+                    "id": entry.record.id,
+                    "top1_id": entries[top1].record.id,
+                    "top1_bleu4": bleu4(words[top1], words[i]),
+                }
+            )
+        rng = make_rng(11, "retrieval-baseline")
+        baseline = []
+        for _ in range(300):
+            i = int(rng.integers(0, len(entries)))
+            j = int(rng.integers(0, len(entries)))
+            baseline.append(bleu4(words[j], words[i]))
+
+        assert result.per_image == per_image
+        assert result.mean_top1_bleu4 == float(np.mean([r["top1_bleu4"] for r in per_image]))
+        assert result.random_baseline_bleu4 == float(np.mean(baseline))
+
+
+def full_graph_grad_cam(model, image, prompt):
+    """grad_cam's map with the backward sweep run through the whole image encoder."""
+    prompt_vec = embed_texts(model, VOCAB, [prompt])[0]
+    acts, pooled = model.image_features(image[None, None])
+    image_proj = model.project(pooled, "image")
+    target = nn.tsum(nn.mul(image_proj, Tensor(prompt_vec[None, :].astype(model.dtype))))
+    model.zero_grad()
+    target.backward()
+    weights = acts.grad[0].mean(axis=(0, 1))
+    raw = np.maximum((acts.data[0] * weights).sum(axis=-1), 0.0)
+    resized = np.maximum(_bilinear_resize(raw, model.cfg.height, model.cfg.width), 0.0)
+    peak = resized.max()
+    return (resized / peak if peak > 0 else resized).astype(np.float64)
+
+
+CONV_PARAMS = [f"image.conv{i}.{kind}" for i in (1, 2, 3) for kind in ("weight", "bias")]
+
+
 class TestGradCam:
+    @pytest.mark.parametrize(
+        "seed, prompt", [(8, "moderate osteophytes."), (9, "severe osteoarthritis."),
+                         (10, "image shows mild osteoarthritis in the left knee.")]
+    )
+    def test_head_only_backward_matches_full_graph(self, seed, prompt):
+        model = small_model(seed=seed)
+        image = render_image(
+            make_record(kl=3, osteophytes={"fm": 3}), SynthConfig(height=32, width=32), seed=seed
+        )
+        expected = full_graph_grad_cam(model, image, prompt)
+        assert expected.any()
+        assert all(model.param(name).grad is not None for name in CONV_PARAMS)
+        saliency = grad_cam(model, image, prompt, VOCAB)
+        assert saliency.values.dtype == expected.dtype
+        assert saliency.values.tobytes() == expected.tobytes()
+        assert all(model.param(name).grad is None for name in CONV_PARAMS)
+
+    def test_overlong_prompt_rejected(self):
+        model = small_model(seed=7)
+        image = np.random.default_rng(8).random((32, 32)).astype(np.float32)
+        fits = " ".join(["mild"] * model.cfg.max_len)
+        assert grad_cam(model, image, fits, VOCAB).values.shape == (32, 32)
+        with pytest.raises(ValueError, match="prompt has 33 tokens, more than .* max_len 32"):
+            grad_cam(model, image, fits + " mild", VOCAB)
+
     def test_map_shape_and_range(self):
         model = small_model(seed=5)
         image = np.random.default_rng(6).random((32, 32)).astype(np.float32)

@@ -55,6 +55,20 @@ class TestValidation:
         with pytest.raises(ScoreValidationError, match="unknown compartment"):
             validate_record(record)
 
+    @pytest.mark.parametrize("record_id", ["a\x00", "\x00", "r\n1", "r\x1f", "r\x7f", "r\x85"])
+    def test_id_with_control_character_rejected(self, record_id):
+        record = make_record()
+        record.id = record_id
+        with pytest.raises(ScoreValidationError, match="control character") as exc:
+            validate_record(record)
+        assert exc.value.field == "id"
+
+    @pytest.mark.parametrize("record_id", ["rec 1", "rec-é", "knee/7", "\u00a0r"])
+    def test_printable_id_accepted(self, record_id):
+        record = make_record()
+        record.id = record_id
+        assert validate_record(record) is record
+
     def test_json_round_trip(self):
         record = sample_record(make_rng(5), "j1")
         again = OaScoreRecord.from_json_dict(record.to_json_dict())
