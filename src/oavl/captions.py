@@ -22,10 +22,8 @@ from .scores import (
     GRADE_WORDS,
     Feature,
     OaScoreRecord,
-    SeveritySignature,
     WORD_TO_GRADE,
     grade_word,
-    severity_signature,
 )
 
 DEFAULT_MAX_LEN = 96
@@ -66,13 +64,6 @@ class CaptionParseError(ValueError):
     def __init__(self, position: int, message: str):
         super().__init__(f"at char {position}: {message}")
         self.position = position
-
-
-@dataclass
-class Caption:
-    text: str
-    kind: TemplateKind
-    signature: SeveritySignature
 
 
 def _state_word(feature: Feature, value) -> str:
@@ -153,8 +144,8 @@ def render_caption(
     kind: TemplateKind,
     include_zero_grades: bool = True,
     include_demographics: bool = False,
-) -> Caption:
-    """Render one template style for a record.
+) -> str:
+    """Render one template style for a record as caption text.
 
     With ``include_zero_grades`` false, grade-0 entries and absent flags are
     omitted and emptied sentences are dropped; the leading KL sentence always
@@ -174,21 +165,7 @@ def render_caption(
         sentences.append(f"knee is {record.alignment}.")
     if include_demographics:
         sentences.append(f"The patient is a {record.age} year old {record.sex}.")
-    return Caption(
-        text=" ".join(sentences), kind=kind, signature=severity_signature(record)
-    )
-
-
-def build_caption_bag(
-    record: OaScoreRecord,
-    include_zero_grades: bool = True,
-    include_demographics: bool = False,
-) -> List[Caption]:
-    """One caption per template kind, in TEMPLATE_ORDER, all sharing the record's signature."""
-    return [
-        render_caption(record, kind, include_zero_grades, include_demographics)
-        for kind in TEMPLATE_ORDER
-    ]
+    return " ".join(sentences)
 
 
 def _split_into_sentences(text: str) -> List[Tuple[str, int]]:
@@ -207,17 +184,11 @@ def _split_into_sentences(text: str) -> List[Tuple[str, int]]:
     return sentences
 
 
-def shuffle_sentences(caption: Caption, rng: np.random.Generator) -> Caption:
-    """Permute a caption's sentences with the given generator.
-
-    The sentence multiset, kind, and signature are unchanged.
-    """
-    parts = [s for s, _ in _split_into_sentences(caption.text)]
+def shuffle_sentences(text: str, rng: np.random.Generator) -> str:
+    """Permute a caption's sentences with the given generator; the multiset is unchanged."""
+    parts = [s for s, _ in _split_into_sentences(text)]
     order = rng.permutation(len(parts))
-    shuffled = [parts[i] for i in order]
-    return Caption(
-        text=". ".join(shuffled) + ".", kind=caption.kind, signature=caption.signature
-    )
+    return ". ".join(parts[i] for i in order) + "."
 
 
 @dataclass

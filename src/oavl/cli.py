@@ -193,17 +193,18 @@ def _iter_records(args):
 
 
 def _cmd_captions(args, config) -> int:
-    from .captions import build_caption_bag
+    from .captions import TEMPLATE_ORDER, render_caption
     from .synth import write_atomic
 
     if (args.record is None) == (args.manifest is None):
         raise UsageError("captions needs exactly one of --record or --manifest")
     include_zero = _merged(args, config, "include_zero_grades", True)
-    lines = [
-        json.dumps({"id": record.id, "kind": c.kind.value, "text": c.text}, sort_keys=True) + "\n"
-        for record in _iter_records(args)
-        for c in build_caption_bag(record, include_zero, args.include_demographics)
-    ]
+    lines = []
+    for record in _iter_records(args):
+        for kind in TEMPLATE_ORDER:
+            text = render_caption(record, kind, include_zero, args.include_demographics)
+            row = {"id": record.id, "kind": kind.value, "text": text}
+            lines.append(json.dumps(row, sort_keys=True) + "\n")
     write_atomic(args.out, "".join(lines).encode("utf-8"))
     return EXIT_OK
 

@@ -86,9 +86,7 @@ EMBED_BATCH = 64
 def embed_images(model: DualEncoder, images: Sequence[np.ndarray]) -> np.ndarray:
     """Projected embeddings [N, proj_dim] of [H, W] images."""
     chunks = [
-        model.project(
-            model.encode_image(np.stack(images[s : s + EMBED_BATCH])[:, None]), "image"
-        ).data
+        model.project(model.encode_image(np.stack(images[s : s + EMBED_BATCH])), "image").data
         for s in range(0, len(images), EMBED_BATCH)
     ]
     return np.concatenate(chunks) if chunks else np.zeros((0, model.cfg.proj_dim), model.dtype)
@@ -253,7 +251,7 @@ def retrieval_eval(
         raise ValueError(f"k must be at least 1, got {k}")
     if baseline_draws < 1:
         raise ValueError(f"baseline_draws must be at least 1, got {baseline_draws}")
-    pool_texts = [render_caption(e.record, TemplateKind.LOCATION).text for e in entries]
+    pool_texts = [render_caption(e.record, TemplateKind.LOCATION) for e in entries]
     pool_words = [split_text(t) for t in pool_texts]
     pool_proj = embed_texts(model, vocab, pool_texts)
     image_proj = embed_images(model, [images[e.record.id] for e in entries])
@@ -331,7 +329,7 @@ def grad_cam(
         )
     prompt_vec = embed_texts(model, vocab, [prompt])[0]
 
-    acts = nn.Tensor(model.image_features(image[None, None])[0].data, requires_grad=True)
+    acts = nn.Tensor(model.image_features(image[None])[0].data, requires_grad=True)
     image_proj = model.project(nn.mean_pool(acts), "image")
     target = nn.tsum(nn.mul(image_proj, nn.Tensor(prompt_vec[None, :].astype(model.dtype))))
     model.zero_grad()

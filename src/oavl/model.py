@@ -42,12 +42,22 @@ class ModelConfig:
     temperature_init: float = 0.07
 
     def validate(self) -> "ModelConfig":
-        if self.vocab_size <= 2:
-            raise ValueError("vocab_size must cover the caption grammar")
-        if self.max_len < 1:
-            raise ValueError("max_len must be positive")
+        """Check every field's type and range; a checkpoint's config arrives as JSON."""
         if len(self.channels) != 3:
             raise ValueError("the image encoder has exactly 3 conv stages")
+        names = ("height", "width", "embed_dim", "proj_dim", "max_len")
+        sizes = {name: getattr(self, name) for name in names}
+        sizes.update({f"channels[{i}]": c for i, c in enumerate(self.channels)})
+        for name, value in sizes.items():
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if type(self.vocab_size) is not int or self.vocab_size <= 2:
+            raise ValueError("vocab_size must cover the caption grammar")
+        if type(self.pad_index) is not int or not 0 <= self.pad_index < self.vocab_size:
+            raise ValueError(f"pad_index must index the vocabulary, got {self.pad_index!r}")
+        tau = self.temperature_init
+        if type(tau) not in (int, float) or not TAU_MIN <= tau <= TAU_MAX:
+            raise ValueError(f"temperature_init must be in [{TAU_MIN}, {TAU_MAX}], got {tau!r}")
         return self
 
     def to_json_dict(self) -> dict:
@@ -65,10 +75,10 @@ class DualEncoder:
 
     Parameters are enumerable by name in a fixed order (the checkpoint
     contract). Activations are channels-last [N, H, W, C]. Image encoder:
-    three stride-2 3x3 conv+relu stages and a global mean pool. Text
-    encoder: token + position embeddings as a one-row image [N, 1, L, D],
-    two 1x3 convolutions over the token axis, mean pool over non-pad
-    positions.
+    [N, H, W] images read as one channel, three stride-2 3x3 conv+relu
+    stages and a global mean pool. Text encoder: token + position
+    embeddings as a one-row image [N, 1, L, D], two 1x3 convolutions over
+    the token axis, mean pool over non-pad positions.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -135,14 +145,14 @@ class DualEncoder:
     def image_features(self, images: np.ndarray) -> Tuple[Tensor, Tensor]:
         """Final conv-stage activations [N, h, w, C3] and pooled embedding [N, C3]."""
         arr = np.asarray(images, dtype=self.dtype)
-        if arr.ndim != 4 or arr.shape[1] != 1:
-            raise nn.ShapeError("expected images of shape [N, 1, H, W]")
-        if arr.shape[2] != self.cfg.height or arr.shape[3] != self.cfg.width:
+        if arr.ndim != 3:
+            raise nn.ShapeError("expected images of shape [N, H, W]")
+        if arr.shape[1:] != (self.cfg.height, self.cfg.width):
             raise nn.ShapeError(
-                f"image size {arr.shape[2]}x{arr.shape[3]} does not match "
+                f"image size {arr.shape[1]}x{arr.shape[2]} does not match "
                 f"configured {self.cfg.height}x{self.cfg.width}"
             )
-        x = Tensor(arr.reshape(arr.shape[0], arr.shape[2], arr.shape[3], 1))  # channels-last
+        x = Tensor(arr[..., None])  # one channel, channels-last
         x = self._conv_block(x, "image.conv1", stride=2)
         x = self._conv_block(x, "image.conv2", stride=2)
         acts = self._conv_block(x, "image.conv3", stride=2)
@@ -150,7 +160,7 @@ class DualEncoder:
         return acts, pooled
 
     def encode_image(self, images: np.ndarray) -> Tensor:
-        """Unprojected image embeddings [N, C3]."""
+        """Unprojected image embeddings [N, C3] of [N, H, W] images."""
         _acts, pooled = self.image_features(images)
         return pooled
 

@@ -362,9 +362,10 @@ def l2_normalize(v: TensorLike, eps: float = 1e-8) -> Tensor:
     out = Tensor(value.astype(vt.dtype, copy=False), parents=(vt,))
 
     def backward(g):
-        norm_safe = np.maximum(norm, np.finfo(vt.data.dtype).tiny)
+        scale = np.maximum(norm, np.finfo(vt.data.dtype).tiny) * denom * denom
         inner = (g * vt.data).sum(axis=-1, keepdims=True)
-        _accumulate(vt, (g / denom - vt.data * inner / (norm_safe * denom * denom)))
+        # an all-zero row takes the limit g / denom; its scale underflows to 0
+        _accumulate(vt, g / denom - vt.data * inner / np.where(norm > 0, scale, 1.0))
 
     out._backward = backward
     return out

@@ -317,8 +317,14 @@ def write_atomic(path: str, data: bytes) -> None:
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:
-    """16-bit binary PGM ("P5", maxval 65535, big-endian samples), written atomically."""
-    data = np.round(np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0) * 65535.0)
+    """16-bit binary PGM ("P5", maxval 65535, big-endian samples), written atomically.
+
+    Samples are clipped to [0, 1]; a NaN or infinite sample raises ValueError.
+    """
+    data = np.asarray(image, dtype=np.float64)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: image holds a non-finite sample")
+    data = np.round(np.clip(data, 0.0, 1.0) * 65535.0)
     h, w = data.shape
     write_atomic(path, f"P5\n{w} {h}\n65535\n".encode("ascii") + data.astype(">u2").tobytes())
 

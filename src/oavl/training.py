@@ -14,7 +14,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +32,7 @@ from .captions import (
 from .model import DualEncoder, ModelConfig, similarity_matrix, total_loss
 from .scores import OaScoreRecord, perturb_negative, severity_signature
 from .seeding import make_rng
-from .synth import DatasetManifest, ManifestEntry, read_pgm, write_atomic
+from .synth import DatasetManifest, read_pgm, write_atomic
 
 CHECKPOINT_MAGIC = b"OAVL0001"
 CHECKPOINT_VERSION = 1
@@ -62,17 +62,22 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> "TrainConfig":
+        """Check every field's type and range; a checkpoint's config arrives as JSON."""
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if type(value) not in ((int, float) if kind is float else (kind,)):
+                raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2 (in-batch negatives)")
         for name in ("lr_image", "lr_text", "lr_projection"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        if self.neg_weight < 0:
-            raise ValueError("neg_weight must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be non-negative and finite")
+        if not 0 <= self.neg_weight < math.inf:
+            raise ValueError("neg_weight must be non-negative and finite")
         if not 0.0 <= self.shuffle_prob <= 1.0:
             raise ValueError("shuffle_prob must be in [0, 1]")
         return self
@@ -91,7 +96,7 @@ class TrainConfig:
 
 @dataclass
 class PlanItem:
-    record_id: str
+    record: OaScoreRecord
     kind: TemplateKind
     shuffle: bool
 
@@ -99,44 +104,44 @@ class PlanItem:
 EpochPlan = List[List[PlanItem]]
 
 
+def signature_groups(records: Sequence[OaScoreRecord]) -> List[List[OaScoreRecord]]:
+    """Records grouped by severity signature, groups in order of first appearance."""
+    groups: Dict[tuple, List[OaScoreRecord]] = {}
+    for record in records:
+        groups.setdefault(severity_signature(record), []).append(record)
+    return list(groups.values())
+
+
 def epoch_plan(
-    entries: Sequence[ManifestEntry],
+    groups: Sequence[Sequence[OaScoreRecord]],
     cfg: TrainConfig,
-    epoch: int,
     rng: np.random.Generator,
 ) -> EpochPlan:
     """One epoch's batches: deduplicated by signature, shuffled, tail dropped.
 
-    Groups the split by severity signature and keeps one uniformly chosen
-    representative per group this epoch; each surviving item gets a uniform
-    template kind and a sentence-shuffle flag with probability shuffle_prob.
+    Keeps one uniformly chosen representative per signature group (see
+    :func:`signature_groups`); each surviving item gets a uniform template
+    kind and a sentence-shuffle flag with probability shuffle_prob.
     """
-    if not entries:
+    if not groups:
         raise ValueError("empty train split")
-    groups: Dict[tuple, List[ManifestEntry]] = {}
-    for entry in entries:
-        groups.setdefault(severity_signature(entry.record), []).append(entry)
-    survivors = [
-        members[int(rng.integers(0, len(members)))] for members in groups.values()
-    ]
+    survivors = [members[int(rng.integers(0, len(members)))] for members in groups]
     order = rng.permutation(len(survivors))
     shuffled = [survivors[i] for i in order]
 
     plan: EpochPlan = []
     n_batches = len(shuffled) // cfg.batch_size
     for b in range(n_batches):
-        batch_entries = shuffled[b * cfg.batch_size : (b + 1) * cfg.batch_size]
         batch = []
-        for entry in batch_entries:
+        for record in shuffled[b * cfg.batch_size : (b + 1) * cfg.batch_size]:
             kind = TEMPLATE_ORDER[int(rng.integers(0, len(TEMPLATE_ORDER)))]
             shuffle = bool(rng.random() < cfg.shuffle_prob)
-            batch.append(PlanItem(record_id=entry.record.id, kind=kind, shuffle=shuffle))
+            batch.append(PlanItem(record=record, kind=kind, shuffle=shuffle))
         plan.append(batch)
     return plan
 
 
 def _batch_tokens(
-    records: Sequence[OaScoreRecord],
     items: Sequence[PlanItem],
     cfg: TrainConfig,
     vocab: Vocabulary,
@@ -146,16 +151,15 @@ def _batch_tokens(
     """Tokenized positive captions (optionally shuffled) and fresh negatives."""
     pos = np.empty((len(items), max_len), dtype=np.int64)
     neg = np.empty((len(items), max_len), dtype=np.int64)
-    for i, (record, item) in enumerate(zip(records, items)):
-        caption = render_caption(record, item.kind, cfg.include_zero_grades)
+    for i, item in enumerate(items):
+        record = item.record
+        text = render_caption(record, item.kind, cfg.include_zero_grades)
         if item.shuffle:
-            caption = shuffle_sentences(
-                caption, make_rng(cfg.seed, "shuffle", epoch, record.id)
-            )
-        pos[i] = tokenize(caption.text, vocab, max_len)
+            text = shuffle_sentences(text, make_rng(cfg.seed, "shuffle", epoch, record.id))
+        pos[i] = tokenize(text, vocab, max_len)
         neg_record = perturb_negative(record, make_rng(cfg.seed, "neg", epoch, record.id))
-        neg_caption = render_caption(neg_record, item.kind, cfg.include_zero_grades)
-        neg[i] = tokenize(neg_caption.text, vocab, max_len)
+        neg_text = render_caption(neg_record, item.kind, cfg.include_zero_grades)
+        neg[i] = tokenize(neg_text, vocab, max_len)
     return pos, neg
 
 
@@ -231,7 +235,7 @@ def matched_negative_cosine(
     """Mean cosine between matched positive/negative unprojected text embeddings."""
 
     def unit_rows(batch: Sequence[OaScoreRecord]) -> np.ndarray:
-        texts = [render_caption(r, k, include_zero_grades).text for r, k in zip(batch, kinds)]
+        texts = [render_caption(r, k, include_zero_grades) for r, k in zip(batch, kinds)]
         return nn.l2_normalize(evaluation.embed_texts(model, vocab, texts, project=False)).data
 
     return float(np.mean(np.sum(unit_rows(records) * unit_rows(neg_records), axis=1)))
@@ -266,11 +270,11 @@ def fit(
     train_entries = manifest.split("train")
     if not train_entries:
         raise ValueError("manifest has no train split")
+    groups = signature_groups([e.record for e in train_entries])
     # epoch_plan keeps one item per signature and drops the partial last batch
-    signatures = len({severity_signature(e.record) for e in train_entries})
-    if cfg.epochs > 0 and signatures < cfg.batch_size:
+    if cfg.epochs > 0 and len(groups) < cfg.batch_size:
         raise ValueError(
-            f"train split has {signatures} distinct severity signatures, fewer than "
+            f"train split has {len(groups)} distinct severity signatures, fewer than "
             f"batch_size {cfg.batch_size}: no batch would be trained"
         )
     vocab = build_vocabulary()
@@ -286,7 +290,6 @@ def fit(
         )
     model = DualEncoder(model_cfg, seed=cfg.seed)
 
-    by_id = {e.record.id: e.record for e in train_entries}
     probe_records, probe_kinds, probe_negs = _probe_set(manifest, cfg)
     report = TrainReport(config=cfg.to_json_dict())
     report.initial_neg_cosine = matched_negative_cosine(
@@ -294,13 +297,12 @@ def fit(
     )
 
     for epoch in range(cfg.epochs):
-        plan = epoch_plan(train_entries, cfg, epoch, make_rng(cfg.seed, "plan", epoch))
+        plan = epoch_plan(groups, cfg, make_rng(cfg.seed, "plan", epoch))
         sums = np.zeros(3)
         steps = 0
         for batch in plan:
-            records = [by_id[item.record_id] for item in batch]
-            images = np.stack([train_images[item.record_id] for item in batch])[:, None]
-            pos, neg = _batch_tokens(records, batch, cfg, vocab, model_cfg.max_len, epoch)
+            images = np.stack([train_images[item.record.id] for item in batch])
+            pos, neg = _batch_tokens(batch, cfg, vocab, model_cfg.max_len, epoch)
             losses = train_step(model, images, pos, neg, cfg)
             sums += np.asarray(losses)
             steps += 1
@@ -443,7 +445,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         meta = json.loads(tensors["meta.config_json"][2].decode("utf-8"))
         model_cfg = ModelConfig.from_json_dict(meta["model"])
         train_cfg = TrainConfig.from_json_dict(meta["train"])
-        epoch = int(meta["epoch"])
+        epoch = meta["epoch"]
+        if type(epoch) is not int or epoch < 0:
+            raise ValueError(f"epoch must be a whole number >= 0, got {epoch!r}")
     except (ValueError, TypeError, KeyError) as exc:
         raise CheckpointError(f"malformed checkpoint config: {exc!r}") from exc
     model = DualEncoder(model_cfg, seed=train_cfg.seed)

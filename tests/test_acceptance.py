@@ -125,7 +125,7 @@ def test_criterion_3_grammar_round_trip():
         record = sample_record(rng)
         for kind in (TemplateKind.ABNORMALITY, TemplateKind.LOCATION, TemplateKind.OVERALL):
             caption = render_caption(record, kind, include_zero_grades=True)
-            for text in (caption.text, shuffle_sentences(caption, shuffle_rng).text):
+            for text in (caption, shuffle_sentences(caption, shuffle_rng)):
                 parsed = parse_caption(text)
                 checked += 1
                 if kind == TemplateKind.OVERALL:
@@ -179,8 +179,8 @@ def test_criterion_5_bleu_oracle():
     rng = make_rng(505)
     worst = 0.0
     for _ in range(100):
-        a = split_text(render_caption(sample_record(rng), TemplateKind.LOCATION, True).text)
-        b = split_text(render_caption(sample_record(rng), TemplateKind.LOCATION, True).text)
+        a = split_text(render_caption(sample_record(rng), TemplateKind.LOCATION, True))
+        b = split_text(render_caption(sample_record(rng), TemplateKind.LOCATION, True))
         worst = max(worst, abs(evaluation.bleu4(a, b) - oracle_bleu4(a, b)))
     _report(
         5,

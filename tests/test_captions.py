@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from oavl.captions import (
     CaptionParseError,
+    TEMPLATE_ORDER,
     TemplateKind,
-    build_caption_bag,
     build_vocabulary,
     parse_caption,
     render_caption,
@@ -13,7 +13,7 @@ from oavl.captions import (
     split_text,
     tokenize,
 )
-from oavl.scores import perturb_negative, sample_record, severity_signature
+from oavl.scores import perturb_negative, sample_record
 from oavl.seeding import make_rng
 
 from conftest import make_record
@@ -50,7 +50,7 @@ class TestRender:
             jsn={"jm": 2},
         )
         caption = render_caption(record, TemplateKind.ABNORMALITY, include_zero_grades=False)
-        assert caption.text == (
+        assert caption == (
             "mild osteoarthritis. "
             "Osteophytes: mild in femur medial, early in tibia medial. "
             "Sclerosis: mild in femur medial, mild in tibia medial. "
@@ -65,7 +65,7 @@ class TestRender:
             osteophytes={"fl": 3},
         )
         caption = render_caption(record, TemplateKind.OVERALL, include_zero_grades=True)
-        assert caption.text == (
+        assert caption == (
             "Image shows moderate osteoarthritis in the left knee. "
             "It shows sign of moderate sclerosis, no sign of cysts, "
             "no sign of chondrocalcinosis, and sign of moderate osteophytes."
@@ -74,26 +74,26 @@ class TestRender:
     def test_all_zero_record_collapses_to_kl_sentence(self):
         record = make_record()
         for kind in (TemplateKind.ABNORMALITY, TemplateKind.LOCATION):
-            assert render_caption(record, kind, include_zero_grades=False).text == (
+            assert render_caption(record, kind, include_zero_grades=False) == (
                 "no osteoarthritis."
             )
         overall = render_caption(record, TemplateKind.OVERALL, include_zero_grades=False)
-        assert overall.text == "Image shows no osteoarthritis in the left knee."
+        assert overall == "Image shows no osteoarthritis in the left knee."
 
     def test_alignment_sentence_trails(self):
         record = make_record(alignment="varus")
-        text = render_caption(record, TemplateKind.ABNORMALITY, False).text
+        text = render_caption(record, TemplateKind.ABNORMALITY, False)
         assert text.endswith("knee is varus.")
         neutral = make_record(alignment="neutral")
-        assert "knee is" not in render_caption(neutral, TemplateKind.ABNORMALITY, False).text
+        assert "knee is" not in render_caption(neutral, TemplateKind.ABNORMALITY, False)
 
     def test_demographics_behind_flag(self):
         record = make_record(age=67, sex="female")
         plain = render_caption(record, TemplateKind.OVERALL, True)
-        assert "year old" not in plain.text
+        assert "year old" not in plain
         with_demo = render_caption(record, TemplateKind.OVERALL, True, include_demographics=True)
-        assert "The patient is a 67 year old female." in with_demo.text
-        parsed = parse_caption(with_demo.text)
+        assert "The patient is a 67 year old female." in with_demo
+        parsed = parse_caption(with_demo)
         assert parsed.age == 67 and parsed.sex == "female"
 
     def test_render_is_pure(self):
@@ -104,29 +104,16 @@ class TestRender:
 
 
 class TestCaptionBag:
-    def test_bag_has_one_caption_per_kind(self):
-        bag = build_caption_bag(sample_record(make_rng(2), "b"))
-        assert [c.kind for c in bag] == [
-            TemplateKind.ABNORMALITY,
-            TemplateKind.LOCATION,
-            TemplateKind.OVERALL,
-        ]
-
-    def test_bag_shares_signature(self):
-        record = sample_record(make_rng(3), "b")
-        bag = build_caption_bag(record)
-        assert {c.signature for c in bag} == {severity_signature(record)}
-
     def test_negative_bag_differs_in_every_graded_clause(self):
         rng = make_rng(17)
         for _ in range(25):
             record = sample_record(rng)
             negative = perturb_negative(record, rng)
             pos = parse_caption(
-                render_caption(record, TemplateKind.LOCATION, True).text
+                render_caption(record, TemplateKind.LOCATION, True)
             )
             neg = parse_caption(
-                render_caption(negative, TemplateKind.LOCATION, True).text
+                render_caption(negative, TemplateKind.LOCATION, True)
             )
             assert pos.kl != neg.kl
             for name in ("osteophytes", "sclerosis", "jsn", "attrition"):
@@ -137,19 +124,18 @@ class TestCaptionBag:
 class TestShuffle:
     def test_single_sentence_unchanged(self):
         caption = render_caption(make_record(), TemplateKind.ABNORMALITY, False)
-        assert shuffle_sentences(caption, make_rng(1)).text == caption.text
+        assert shuffle_sentences(caption, make_rng(1)) == caption
 
     def test_multiset_preserved(self):
         caption = render_caption(sample_record(make_rng(4), "m"), TemplateKind.LOCATION, True)
         shuffled = shuffle_sentences(caption, make_rng(2))
-        assert sorted(shuffled.text[:-1].split(". ")) == sorted(caption.text[:-1].split(". "))
-        assert shuffled.kind == caption.kind and shuffled.signature == caption.signature
+        assert sorted(shuffled[:-1].split(". ")) == sorted(caption[:-1].split(". "))
 
     def test_deterministic(self):
         caption = render_caption(sample_record(make_rng(4), "m"), TemplateKind.ABNORMALITY, True)
         assert (
-            shuffle_sentences(caption, make_rng(3)).text
-            == shuffle_sentences(caption, make_rng(3)).text
+            shuffle_sentences(caption, make_rng(3))
+            == shuffle_sentences(caption, make_rng(3))
         )
 
 
@@ -164,9 +150,9 @@ class TestParse:
         for _ in range(50):
             record = sample_record(rng)
             for kind in (TemplateKind.ABNORMALITY, TemplateKind.LOCATION):
-                parsed = parse_caption(render_caption(record, kind, True).text)
+                parsed = parse_caption(render_caption(record, kind, True))
                 assert_full_recovery(parsed, record)
-            parsed = parse_caption(render_caption(record, TemplateKind.OVERALL, True).text)
+            parsed = parse_caption(render_caption(record, TemplateKind.OVERALL, True))
             assert_overall_recovery(parsed, record)
 
     def test_parse_insensitive_to_shuffling(self):
@@ -175,7 +161,7 @@ class TestParse:
             record = sample_record(rng)
             caption = render_caption(record, TemplateKind.ABNORMALITY, True)
             shuffled = shuffle_sentences(caption, rng)
-            assert parse_caption(shuffled.text) == parse_caption(caption.text)
+            assert parse_caption(shuffled) == parse_caption(caption)
 
     def test_rejects_text_outside_grammar(self):
         cases = [
@@ -201,7 +187,7 @@ class TestParse:
     @settings(max_examples=30, deadline=None)
     def test_round_trip_property(self, seed):
         record = sample_record(make_rng(seed), "h")
-        parsed = parse_caption(render_caption(record, TemplateKind.LOCATION, True).text)
+        parsed = parse_caption(render_caption(record, TemplateKind.LOCATION, True))
         assert_full_recovery(parsed, record)
 
 
@@ -229,10 +215,9 @@ class TestTokenizer:
             record = sample_record(rng)
             negative = perturb_negative(record, rng)
             for source in (record, negative):
-                bag = build_caption_bag(source, include_zero_grades=True,
-                                        include_demographics=True)
-                for caption in bag:
-                    tokens = tokenize(caption.text, vocab)
+                for kind in TEMPLATE_ORDER:
+                    caption = render_caption(source, kind, True, include_demographics=True)
+                    tokens = tokenize(caption, vocab)
                     assert not (tokens == vocab.unk_index).any()
 
     def test_unknown_word_maps_to_unk(self, vocab):

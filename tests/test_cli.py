@@ -161,7 +161,7 @@ class TestCaptions:
         assert main(["captions", "--record", str(src), "--out", str(out)]) == EXIT_OK
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(lines) == 3
-        assert {line["kind"] for line in lines} == {"abnormality", "location", "overall"}
+        assert [line["kind"] for line in lines] == ["abnormality", "location", "overall"]
         assert all(line["id"] == "r0" for line in lines)
 
     def test_from_manifest(self, dataset_dir, tmp_path):
@@ -442,22 +442,33 @@ def _drop(key):
     return edit
 
 
-def _add_key(section, key):
+def _set(value, *path):
     def edit(meta):
-        meta[section][key] = 1
+        section = meta
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
         return meta
 
     return edit
 
 
 MALFORMED_CONFIGS = {
-    "unknown-model-key": _add_key("model", "depth"),
-    "unknown-train-key": _add_key("train", "lr"),
+    "unknown-model-key": _set(1, "model", "depth"),
+    "unknown-train-key": _set(1, "train", "lr"),
     "bad-json": b"{not json",
     "not-utf8": b"\xff\xfe",
     "missing-model": _drop("model"),
     "missing-train": _drop("train"),
     "missing-epoch": _drop("epoch"),
+    "string-embed-dim": _set("64", "model", "embed_dim"),
+    "negative-proj-dim": _set(-1, "model", "proj_dim"),
+    "negative-temperature": _set(-1.0, "model", "temperature_init"),
+    "string-height": _set("32", "model", "height"),
+    "string-epoch": _set("3", "epoch"),
+    "fractional-epoch": _set(2.5, "epoch"),
+    "string-seed": _set("7", "train", "seed"),
+    "infinite-lr": _set(float("inf"), "train", "lr_image"),
 }
 
 

@@ -115,10 +115,10 @@ class TestBleu:
         rng = make_rng(50)
         for _ in range(100):
             a = split_text(
-                render_caption(sample_record(rng), TemplateKind.LOCATION, True).text
+                render_caption(sample_record(rng), TemplateKind.LOCATION, True)
             )
             b = split_text(
-                render_caption(sample_record(rng), TemplateKind.LOCATION, True).text
+                render_caption(sample_record(rng), TemplateKind.LOCATION, True)
             )
             assert abs(bleu4(a, b) - oracle_bleu4(a, b)) <= 1e-9
 
@@ -144,7 +144,7 @@ class TestBleuPairs:
     def test_equals_bleu4_on_every_ordered_pair_of_a_caption_pool(self):
         rng = make_rng(51)
         pool = [
-            split_text(render_caption(sample_record(rng), TemplateKind.LOCATION, i % 2 == 0).text)
+            split_text(render_caption(sample_record(rng), TemplateKind.LOCATION, i % 2 == 0))
             for i in range(60)
         ]
         pairs = [(c, r) for c in range(len(pool)) for r in range(len(pool))]
@@ -178,7 +178,7 @@ class TestEmbed:
         assert len(images) > EMBED_BATCH
         batched = embed_images(model, images)
         single = np.concatenate(
-            [model.project(model.encode_image(im[None, None]), "image").data for im in images]
+            [model.project(model.encode_image(im[None]), "image").data for im in images]
         )
         assert batched.shape == (70, model.cfg.proj_dim)
         np.testing.assert_allclose(batched, single, rtol=0, atol=1e-6)
@@ -189,7 +189,7 @@ class TestEmbed:
         rng = make_rng(17)
         kinds = list(TemplateKind)
         texts = [
-            render_caption(sample_record(rng), kinds[i % len(kinds)]).text for i in range(70)
+            render_caption(sample_record(rng), kinds[i % len(kinds)]) for i in range(70)
         ]
         batched = embed_texts(model, VOCAB, texts, project=project)
         single = []
@@ -278,7 +278,7 @@ class TestRetrievalEval:
         entries, images = small_split(20)
         result = retrieval_eval(model, entries, images, VOCAB, k=5, baseline_draws=300, seed=11)
 
-        texts = [render_caption(e.record, TemplateKind.LOCATION).text for e in entries]
+        texts = [render_caption(e.record, TemplateKind.LOCATION) for e in entries]
         words = [split_text(t) for t in texts]
         pool_proj = embed_texts(model, VOCAB, texts)
         image_proj = embed_images(model, [images[e.record.id] for e in entries])
@@ -307,7 +307,7 @@ class TestRetrievalEval:
 def full_graph_grad_cam(model, image, prompt):
     """grad_cam's map with the backward sweep run through the whole image encoder."""
     prompt_vec = embed_texts(model, VOCAB, [prompt])[0]
-    acts, pooled = model.image_features(image[None, None])
+    acts, pooled = model.image_features(image[None])
     image_proj = model.project(pooled, "image")
     target = nn.tsum(nn.mul(image_proj, Tensor(prompt_vec[None, :].astype(model.dtype))))
     model.zero_grad()
@@ -367,6 +367,14 @@ class TestGradCam:
         saliency = grad_cam(model, image, "severe osteoarthritis.", VOCAB)
         assert np.ptp(saliency.values) <= 1e-6
         assert saliency.values.max() in (0.0, pytest.approx(1.0))
+
+    def test_black_image_gives_finite_map(self):
+        # a fresh model's conv and projection biases are zero, so a black
+        # image reaches l2_normalize as an all-zero row
+        model = small_model(seed=7)
+        saliency = grad_cam(model, np.zeros((32, 32), np.float32), "severe osteoarthritis.", VOCAB)
+        assert np.isfinite(saliency.values).all()
+        assert not saliency.values.any()
 
     def test_unknown_prompt_token_rejected(self):
         model = small_model(seed=7)

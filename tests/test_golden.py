@@ -13,9 +13,11 @@ import json
 import numpy as np
 import pytest
 
-from oavl.captions import TEMPLATE_ORDER, render_caption
+from oavl.captions import DEFAULT_MAX_LEN, TEMPLATE_ORDER, build_vocabulary, render_caption
 from oavl.scores import perturb_negative, sample_record, severity_signature
+from oavl.seeding import make_rng
 from oavl.synth import SynthConfig, generate_dataset
+from oavl.training import TrainConfig, _batch_tokens, epoch_plan, signature_groups
 
 N_RECORDS = 200
 
@@ -76,11 +78,43 @@ CAPTION_DIGESTS = {
 )
 def test_captions(records, negatives, include_zero, demographics):
     lines = [
-        render_caption(r, kind, include_zero, demographics).text
+        render_caption(r, kind, include_zero, demographics)
         for r in records + negatives
         for kind in TEMPLATE_ORDER
     ]
     assert _digest(lines) == CAPTION_DIGESTS[(include_zero, demographics)]
+
+
+STREAM_DIGESTS = {
+    # fit's caption stream for epochs 0-2: plan lines "epoch id kind shuffle",
+    # then each positive and negative token row
+    "plan": "e4fbf364a37b7f49d1e0293a38d4ecca99ab0bec81e2cb6d8db1c6f979395ea8",
+    "positive": "c4901c35e9f0464f953c273566d37d7c9535841b0b83d205ebce0e8ea54201cd",
+    "negative": "523b3f047f893aecfe86f4f06159393dceeacb435ed6705fc825eaf67119cd5b",
+}
+
+
+@pytest.fixture(scope="module")
+def caption_stream(records):
+    """Plan and token lines of the first three epochs, drawn as fit draws them."""
+    cfg = TrainConfig(batch_size=32, seed=3)
+    vocab = build_vocabulary()
+    groups = signature_groups(records)
+    lines = {stream: [] for stream in STREAM_DIGESTS}
+    for epoch in range(3):
+        for batch in epoch_plan(groups, cfg, make_rng(cfg.seed, "plan", epoch)):
+            lines["plan"] += [
+                f"{epoch} {item.record.id} {item.kind.value} {int(item.shuffle)}" for item in batch
+            ]
+            pos, neg = _batch_tokens(batch, cfg, vocab, DEFAULT_MAX_LEN, epoch)
+            lines["positive"] += [" ".join(map(str, row)) for row in pos]
+            lines["negative"] += [" ".join(map(str, row)) for row in neg]
+    return lines
+
+
+@pytest.mark.parametrize("stream", sorted(STREAM_DIGESTS))
+def test_training_caption_stream(caption_stream, stream):
+    assert _digest(caption_stream[stream]) == STREAM_DIGESTS[stream]
 
 
 def test_generated_manifest(tmp_path):

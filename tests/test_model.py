@@ -46,13 +46,13 @@ def tiny():
 
 class TestEncoders:
     def test_image_embedding_shape(self, model):
-        images = np.random.default_rng(0).random((4, 1, 64, 64)).astype(np.float32)
+        images = np.random.default_rng(0).random((4, 64, 64)).astype(np.float32)
         out = model.encode_image(images)
         assert out.shape == (4, 64)
         assert np.isfinite(out.data).all()
 
     def test_identical_images_identical_rows(self, model):
-        image = np.random.default_rng(1).random((1, 64, 64)).astype(np.float32)
+        image = np.random.default_rng(1).random((64, 64)).astype(np.float32)
         batch = np.stack([image, image])
         out = model.encode_image(batch).data
         assert np.array_equal(out[0], out[1])
@@ -61,14 +61,14 @@ class TestEncoders:
         for seed in range(10):
             m = DualEncoder(small_config(), seed=seed)
             batch = np.stack(
-                [np.zeros((1, 32, 32), np.float32), np.ones((1, 32, 32), np.float32)]
+                [np.zeros((32, 32), np.float32), np.ones((32, 32), np.float32)]
             )
             out = m.encode_image(batch).data
             assert not np.array_equal(out[0], out[1])
 
     def test_image_size_mismatch(self, model):
         with pytest.raises(nn.ShapeError):
-            model.encode_image(np.zeros((1, 1, 32, 32), np.float32))
+            model.encode_image(np.zeros((1, 32, 32), np.float32))
 
     def test_text_embedding_shape(self, model):
         tokens = np.random.default_rng(2).integers(1, len(VOCAB), (3, 96))
@@ -107,10 +107,10 @@ class TestEncoders:
             record = sample_record(rng)
             caption = render_caption(record, TemplateKind.LOCATION, True)
             shuffled = shuffle_sentences(caption, make_rng(900 + i))
-            if shuffled.text == caption.text:
+            if shuffled == caption:
                 continue
-            a = tiny.encode_text(tokenize(caption.text, VOCAB, 24)[None]).data
-            b = tiny.encode_text(tokenize(shuffled.text, VOCAB, 24)[None]).data
+            a = tiny.encode_text(tokenize(caption, VOCAB, 24)[None]).data
+            b = tiny.encode_text(tokenize(shuffled, VOCAB, 24)[None]).data
             differing += int(not np.allclose(a, b))
         assert differing >= 8  # order enters via positions and convolution
 
@@ -283,7 +283,7 @@ def build_fd_model_and_loss(seed):
     )
     model = DualEncoder(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    images = rng.random((4, 1, 16, 16))
+    images = rng.random((4, 16, 16))
     pos = rng.integers(1, 12, (4, 8))
     neg = rng.integers(1, 12, (4, 8))
     pos[:, -2:] = 0

@@ -106,6 +106,22 @@ class TestForward:
         assert np.array_equal(y.data, np.zeros(4))
         assert np.isfinite(y.data).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_l2_normalize_zero_row_gradient_is_the_limit(self, dtype):
+        v = np.zeros((3, 4), dtype)
+        v[1] = [0.3, -1.2, 2.0, 0.7]
+        x = Tensor(v, requires_grad=True)
+        weights = np.random.default_rng(3).standard_normal((3, 4)).astype(dtype)
+        nn.tsum(nn.mul(nn.l2_normalize(x), Tensor(weights))).backward()
+        norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+        denom = norm + 1e-8
+        # zero rows: g / denom, the limit of the gradient as v -> 0
+        assert np.array_equal(x.grad[[0, 2]], weights[[0, 2]] / denom[[0, 2]])
+        # the non-zero row keeps the closed form's exact bits
+        inner = (weights[1] * v[1]).sum()
+        expected = weights[1] / denom[1] - v[1] * inner / (norm[1] * denom[1] * denom[1])
+        assert x.grad[1].tobytes() == expected.tobytes()
+
     def test_relu_idempotent(self):
         x = np.random.default_rng(1).standard_normal((4, 5))
         once = nn.relu(Tensor(x)).data

@@ -162,6 +162,15 @@ class TestPgm:
         header = path.read_bytes()[:20]
         assert header.startswith(b"P5\n6 4\n65535\n")
 
+    @pytest.mark.parametrize("sample", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, tmp_path, sample):
+        image = np.zeros((4, 4), dtype=np.float32)
+        image[2, 1] = sample
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match="bad.pgm: image holds a non-finite sample"):
+            write_pgm(str(path), image)
+        assert not path.exists()
+
     def test_short_payload_names_the_file(self, tmp_path):
         path = tmp_path / "short.pgm"
         write_pgm(str(path), np.zeros((4, 4), dtype=np.float32))

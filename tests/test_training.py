@@ -8,7 +8,7 @@ from oavl.captions import TEMPLATE_ORDER, build_vocabulary, render_caption, toke
 from oavl.model import DualEncoder, ModelConfig
 from oavl.scores import perturb_negative, sample_record, severity_signature
 from oavl.seeding import make_rng
-from oavl.synth import ManifestEntry, SynthConfig, generate_dataset
+from oavl.synth import SynthConfig, generate_dataset
 from oavl.training import (
     Checkpoint,
     CheckpointError,
@@ -19,6 +19,7 @@ from oavl.training import (
     load_checkpoint,
     matched_negative_cosine,
     save_checkpoint,
+    signature_groups,
     train_step,
 )
 
@@ -47,13 +48,6 @@ def small_dataset(tmp_path_factory):
     return manifest
 
 
-def entries_for(records):
-    return [
-        ManifestEntry(record=r, image_path=f"images/{r.id}.pgm", split="train")
-        for r in records
-    ]
-
-
 class TestEpochPlan:
     def test_unique_signatures_all_survive(self):
         rng = make_rng(1)
@@ -61,47 +55,45 @@ class TestEpochPlan:
         unique = {}
         for r in records:
             unique.setdefault(severity_signature(r), r)
-        entries = entries_for(list(unique.values()))
+        groups = signature_groups(list(unique.values()))
         cfg = TrainConfig(batch_size=4)
-        plan = epoch_plan(entries, cfg, 0, make_rng(2))
+        plan = epoch_plan(groups, cfg, make_rng(2))
         planned = [item for batch in plan for item in batch]
-        assert len(planned) == (len(entries) // 4) * 4
+        assert len(planned) == (len(groups) // 4) * 4
 
     def test_identical_signatures_one_survivor(self):
         records = [make_record(record_id=f"d{i}", kl=2, fill=2) for i in range(10)]
         cfg = TrainConfig(batch_size=2)
-        plan = epoch_plan(entries_for(records), cfg, 0, make_rng(3))
+        plan = epoch_plan(signature_groups(records), cfg, make_rng(3))
         assert sum(len(b) for b in plan) == 0  # single survivor < batch_size, tail dropped
 
         mixed = records + [make_record(record_id="x", kl=4, fill=4)]
-        plan = epoch_plan(entries_for(mixed), cfg, 0, make_rng(3))
-        planned = [item.record_id for batch in plan for item in batch]
+        plan = epoch_plan(signature_groups(mixed), cfg, make_rng(3))
+        planned = [item.record.id for batch in plan for item in batch]
         assert len(planned) == 2
         assert "x" in planned
 
     def test_batches_have_distinct_signatures(self):
         rng = make_rng(4)
         records = [sample_record(rng, f"s{i}") for i in range(60)]
-        entries = entries_for(records)
+        groups = signature_groups(records)
         cfg = TrainConfig(batch_size=8)
-        by_id = {r.id: r for r in records}
         for epoch in range(5):
-            plan = epoch_plan(entries, cfg, epoch, make_rng(9, epoch))
+            plan = epoch_plan(groups, cfg, make_rng(9, epoch))
             for batch in plan:
-                signatures = [severity_signature(by_id[i.record_id]) for i in batch]
+                signatures = [severity_signature(i.record) for i in batch]
                 assert len(set(signatures)) == len(signatures)
 
     def test_tail_dropped(self):
         rng = make_rng(5)
         records = [sample_record(rng, f"t{i}") for i in range(10)]
-        entries = entries_for(records)
         survivors = len({severity_signature(r) for r in records})
-        plan = epoch_plan(entries, TrainConfig(batch_size=4), 0, make_rng(6))
+        plan = epoch_plan(signature_groups(records), TrainConfig(batch_size=4), make_rng(6))
         assert sum(len(b) for b in plan) == (survivors // 4) * 4
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            epoch_plan([], TrainConfig(), 0, make_rng(0))
+            epoch_plan([], TrainConfig(), make_rng(0))
 
     def test_duplicate_groups_all_members_eventually_selected(self):
         # groups of size 2, 3, 4 sharing a signature within each group
@@ -110,22 +102,22 @@ class TestEpochPlan:
         for kl, size in group_sizes.items():
             for j in range(size):
                 records.append(make_record(record_id=f"g{kl}-{j}", kl=kl, fill=kl))
-        entries = entries_for(records)
+        groups = signature_groups(records)
         cfg = TrainConfig(batch_size=3)
         failures = 0
         for seed in range(10):
             counts = {r.id: 0 for r in records}
             for epoch in range(20):
-                for batch in epoch_plan(entries, cfg, epoch, make_rng(seed, "ep", epoch)):
+                for batch in epoch_plan(groups, cfg, make_rng(seed, "ep", epoch)):
                     for item in batch:
-                        counts[item.record_id] += 1
+                        counts[item.record.id] += 1
             failures += sum(1 for c in counts.values() if c == 0)
         assert failures <= 1
 
 
 def random_batch(model_cfg, batch=8, seed=0):
     rng = np.random.default_rng(seed)
-    images = rng.random((batch, 1, model_cfg.height, model_cfg.width)).astype(np.float32)
+    images = rng.random((batch, model_cfg.height, model_cfg.width)).astype(np.float32)
     pos = rng.integers(1, model_cfg.vocab_size, (batch, model_cfg.max_len))
     neg = rng.integers(1, model_cfg.vocab_size, (batch, model_cfg.max_len))
     return images, pos, neg
@@ -256,7 +248,7 @@ class TestProbe:
         negatives = [perturb_negative(r, make_rng(22, r.id)) for r in records]
 
         def embed(record, kind):
-            tokens = tokenize(render_caption(record, kind).text, VOCAB, model.cfg.max_len)
+            tokens = tokenize(render_caption(record, kind), VOCAB, model.cfg.max_len)
             return model.encode_text(tokens[None]).data[0].astype(np.float64)
 
         cosines = []
