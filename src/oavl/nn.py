@@ -130,8 +130,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        # own a copy: g may alias an array another parent also receives
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        # own a C-ordered copy: g may alias an array another parent also
+        # receives, or be a transposed view that would slow Adam's updates
+        t.grad = np.array(g, dtype=t.data.dtype, copy=True, order="C")
     else:
         t.grad += g
 
@@ -292,9 +293,18 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     out = Tensor(weight.data[idx], parents=(weight,))
 
     def backward(g):
-        if weight.grad is None:
-            weight.grad = np.zeros_like(weight.data)
-        np.add.at(weight.grad, idx.reshape(-1), g.reshape(-1, weight.shape[1]))
+        # sorted by index, each row's gradients form one contiguous run that
+        # reduceat sums, where np.add.at would scatter them one at a time
+        flat = idx.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        sorted_idx = flat[order]
+        first = np.ones(sorted_idx.size, dtype=bool)
+        first[1:] = sorted_idx[1:] != sorted_idx[:-1]
+        starts = np.flatnonzero(first)
+        grad = np.zeros_like(weight.data)
+        rows = g.reshape(-1, weight.shape[1])[order]
+        grad[sorted_idx[starts]] = np.add.reduceat(rows, starts, axis=0)
+        _accumulate(weight, grad)
 
     out._backward = backward
     return out
@@ -309,6 +319,8 @@ def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
     xt, kt = as_tensor(x), as_tensor(kernel)
     if xt.ndim != 4 or kt.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and kernel")
+    if not isinstance(stride, (int, np.integer)) or isinstance(stride, bool) or stride < 1:
+        raise ShapeError(f"conv2d stride must be an int >= 1, got {stride!r}")
     n, h, w, c = xt.shape
     c_out, c_in, kh, kw = kt.shape
     if c != c_in:
@@ -318,27 +330,29 @@ def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
     w_out = (w + 2 * pw - kw) // stride + 1
 
     xp = np.pad(xt.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    # windows are [N, h_out, w_out, C, kh, kw]: im2col rows come out in the
-    # kernel's (C, kh, kw) order, so neither GEMM needs a transpose
+    # im2col rows in (kh, kw, C) order, so the copy moves contiguous runs of
+    # C channels; the window view's own (C, kh, kw) order gathers kw values
+    # C floats apart
     windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = np.ascontiguousarray(windows[:, :h_out, :w_out]).reshape(
-        n * h_out * w_out, c * kh * kw
-    )
-    k_flat = kt.data.reshape(c_out, c * kh * kw)
+    cols = np.ascontiguousarray(
+        windows[:, :h_out, :w_out].transpose(0, 1, 2, 4, 5, 3)
+    ).reshape(n * h_out * w_out, kh * kw * c)
+    k_flat = kt.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c)
     out = Tensor((cols @ k_flat.T).reshape(n, h_out, w_out, c_out), parents=(xt, kt))
 
     def backward(g):
         g_flat = g.reshape(n * h_out * w_out, c_out)
         if kt.requires_grad:
-            _accumulate(kt, (g_flat.T @ cols).reshape(kt.shape))
+            d_kernel = (g_flat.T @ cols).reshape(c_out, kh, kw, c)
+            _accumulate(kt, d_kernel.transpose(0, 3, 1, 2))
         if xt.requires_grad:
-            d_cols = (g_flat @ k_flat).reshape(n, h_out, w_out, c, kh, kw)
+            # one GEMM per kernel tap, added straight into the padded gradient
             dxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
                     dxp[
                         :, i : i + stride * h_out : stride, j : j + stride * w_out : stride
-                    ] += d_cols[..., i, j]
+                    ] += (g_flat @ kt.data[:, :, i, j]).reshape(n, h_out, w_out, c)
             _accumulate(xt, dxp[:, ph : ph + h, pw : pw + w])
 
     out._backward = backward

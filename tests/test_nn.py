@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from oavl import nn
 from oavl.nn import (
@@ -91,6 +92,11 @@ class TestForward:
     def test_conv_channel_mismatch(self):
         with pytest.raises(ShapeError):
             nn.conv2d(np.zeros((1, 4, 4, 2)), np.zeros((1, 3, 3, 3)))
+
+    @pytest.mark.parametrize("stride", [0, -1, 1.5], ids=["zero", "negative", "fractional"])
+    def test_conv_rejects_stride_that_is_not_a_positive_int(self, stride):
+        with pytest.raises(ShapeError, match="stride"):
+            nn.conv2d(np.zeros((1, 4, 4, 2)), np.zeros((3, 2, 3, 3)), stride=stride)
 
     def test_l2_normalize_three_four(self):
         y = nn.l2_normalize(Tensor(np.array([3.0, 4.0])))
@@ -301,6 +307,26 @@ def _case_conv2d(rng):
     return [x, k], lambda: weighted_sum(nn.conv2d(x, k, stride=1), np.random.default_rng(0))
 
 
+def _case_embedding_shared(rng):
+    # one table read twice and summed, as encode_text reads positives and
+    # negatives; 12 draws from 5 rows per call repeat indices
+    w = Tensor(rng.standard_normal((7, 5)), requires_grad=True)
+    idx_a, idx_b = rng.integers(0, 5, (3, 4)), rng.integers(0, 5, (3, 4))
+
+    def f():
+        both = nn.add(nn.embedding(w, idx_a), nn.embedding(w, idx_b))
+        return weighted_sum(both, np.random.default_rng(0))
+
+    return [w], f
+
+
+def _case_conv2d_image(rng):
+    # the image encoder's strided 3x3 kernel, on one odd and one even side
+    x = Tensor(rng.standard_normal((2, 7, 6, 3)), requires_grad=True)
+    k = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+    return [x, k], lambda: weighted_sum(nn.conv2d(x, k, stride=2), np.random.default_rng(0))
+
+
 def _case_conv2d_strided(rng):
     # the text encoder's 1x3 kernel: padding along the width only
     x = Tensor(rng.standard_normal((2, 6, 7, 3)), requires_grad=True)
@@ -333,7 +359,9 @@ PRIMITIVE_CASES = {
     "mean": _case_mean,
     "mean_pool": _case_mean_pool,
     "embedding": _case_embedding,
+    "embedding_shared": _case_embedding_shared,
     "conv2d": _case_conv2d,
+    "conv2d_image": _case_conv2d_image,
     "conv2d_strided": _case_conv2d_strided,
     "l2_normalize": _case_l2_normalize,
     "softmax_cross_entropy": _case_softmax_cross_entropy,
@@ -366,3 +394,75 @@ def test_unbroadcast_shapes():
     assert b.grad.shape == (4, 3)
     assert np.all(a.grad == 4 * 3 / 3)  # 4 broadcast copies along the middle axis
     assert np.all(b.grad == 2)
+
+
+# --- differential tests against the previous formulas ---------------------------
+
+
+def _conv2d_oracle(x, k, stride, g):
+    """Output, kernel gradient and input gradient of conv2d by im2col in the
+    kernel's own (C, kh, kw) order, scattered back slice by slice."""
+    n, h, w, c = x.shape
+    c_out, _, kh, kw = k.shape
+    ph, pw = kh // 2, kw // 2
+    h_out = (h + 2 * ph - kh) // stride + 1
+    w_out = (w + 2 * pw - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = np.ascontiguousarray(windows[:, :h_out, :w_out]).reshape(-1, c * kh * kw)
+    k_flat = k.reshape(c_out, -1)
+    y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out)
+    g_flat = g.reshape(-1, c_out)
+    d_kernel = (g_flat.T @ cols).reshape(k.shape)
+    d_cols = (g_flat @ k_flat).reshape(n, h_out, w_out, c, kh, kw)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += d_cols[
+                ..., i, j
+            ]
+    return y, d_kernel, dxp[:, ph : ph + h, pw : pw + w]
+
+
+# The default ModelConfig's four conv layers at batch 2: image.conv1-3 on a
+# 64x64 image with channels (16, 32, 64), and the text conv over L=96, D=64.
+MODEL_CONV_LAYERS = {
+    "image.conv1": ((2, 64, 64, 1), (16, 1, 3, 3), 2),
+    "image.conv2": ((2, 32, 32, 16), (32, 16, 3, 3), 2),
+    "image.conv3": ((2, 16, 16, 32), (64, 32, 3, 3), 2),
+    "text.conv": ((2, 1, 96, 64), (64, 64, 1, 3), 1),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(MODEL_CONV_LAYERS))
+def test_conv2d_matches_channel_major_im2col_oracle(layer):
+    x_shape, k_shape, stride = MODEL_CONV_LAYERS[layer]
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+    k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
+    y = nn.conv2d(x, k, stride=stride)
+    g = rng.standard_normal(y.shape)
+    nn.tsum(nn.mul(y, Tensor(g))).backward()
+    y_ref, d_kernel, d_input = _conv2d_oracle(x.data, k.data, stride, g)
+    assert y.shape == y_ref.shape
+    assert np.allclose(y.data, y_ref, rtol=0, atol=1e-12)
+    assert np.allclose(k.grad, d_kernel, rtol=0, atol=1e-12)
+    assert k.grad.flags["C_CONTIGUOUS"]  # as Adam's moments are
+    assert np.allclose(x.grad, d_input, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["fresh", "accumulating"])
+def test_embedding_gradient_matches_add_at(held):
+    rng = np.random.default_rng(5)
+    w = Tensor(rng.standard_normal((11, 6)), requires_grad=True)
+    # rows 0-7 only, each many times; rows 8-10 are never read
+    idx = rng.integers(0, 8, (4, 1, 9))
+    prior = rng.standard_normal(w.shape) if held else np.zeros(w.shape)
+    if held:
+        w.grad = prior.copy()
+    g = rng.standard_normal((4, 1, 9, 6))
+    nn.tsum(nn.mul(nn.embedding(w, idx), Tensor(g))).backward()
+    expected = prior.copy()
+    np.add.at(expected, idx.reshape(-1), g.reshape(-1, 6))
+    assert np.allclose(w.grad, expected, rtol=0, atol=1e-12)
+    assert np.array_equal(w.grad[8:], prior[8:])
