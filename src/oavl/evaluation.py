@@ -9,6 +9,7 @@ cosine.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -288,17 +289,26 @@ def retrieval_eval(
 # --- Grad-CAM ------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _resize_taps(src: int, dst: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source indices (i0, i1) and weight of i1 for each of dst half-pixel
+    centers over src samples. Cached and shared, so the arrays are read-only."""
+    pos = (np.arange(dst) + 0.5) * (src / dst) - 0.5
+    i0 = np.clip(np.floor(pos), 0, src - 1).astype(int)
+    i1 = np.clip(i0 + 1, 0, src - 1)
+    weight = np.clip(pos - i0, 0.0, 1.0)
+    for taps in (i0, i1, weight):
+        taps.flags.writeable = False
+    return i0, i1, weight
+
+
 def _bilinear_resize(values: np.ndarray, height: int, width: int) -> np.ndarray:
     """Bilinear upsample with half-pixel centers."""
     src_h, src_w = values.shape
-    ys = (np.arange(height) + 0.5) * (src_h / height) - 0.5
-    xs = (np.arange(width) + 0.5) * (src_w / width) - 0.5
-    y0 = np.clip(np.floor(ys), 0, src_h - 1).astype(int)
-    x0 = np.clip(np.floor(xs), 0, src_w - 1).astype(int)
-    y1 = np.clip(y0 + 1, 0, src_h - 1)
-    x1 = np.clip(x0 + 1, 0, src_w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
+    y0, y1, wy = _resize_taps(src_h, height)
+    x0, x1, wx = _resize_taps(src_w, width)
+    wy = wy[:, None]
+    wx = wx[None, :]
     top = values[np.ix_(y0, x0)] * (1 - wx) + values[np.ix_(y0, x1)] * wx
     bottom = values[np.ix_(y1, x0)] * (1 - wx) + values[np.ix_(y1, x1)] * wx
     return top * (1 - wy) + bottom * wy

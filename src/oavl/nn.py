@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeError(ValueError):
@@ -329,14 +329,20 @@ def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
     h_out = (h + 2 * ph - kh) // stride + 1
     w_out = (w + 2 * pw - kw) // stride + 1
 
-    xp = np.pad(xt.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=xt.dtype)
+    xp[:, ph : ph + h, pw : pw + w] = xt.data
     # im2col rows in (kh, kw, C) order, so the copy moves contiguous runs of
-    # C channels; the window view's own (C, kh, kw) order gathers kw values
-    # C floats apart
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = np.ascontiguousarray(
-        windows[:, :h_out, :w_out].transpose(0, 1, 2, 4, 5, 3)
-    ).reshape(n * h_out * w_out, kh * kw * c)
+    # C channels. The window view [n, h_out, w_out, kh, kw, C] is built
+    # directly: its last window ends at row (h_out - 1) * stride + kh - 1,
+    # which the h_out formula keeps inside the padded rows (columns alike).
+    sn, sh, sw, sc = xp.strides
+    windows = as_strided(
+        xp,
+        shape=(n, h_out, w_out, kh, kw, c),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
+        writeable=False,
+    )
+    cols = np.ascontiguousarray(windows).reshape(n * h_out * w_out, kh * kw * c)
     k_flat = kt.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c)
     out = Tensor((cols @ k_flat.T).reshape(n, h_out, w_out, c_out), parents=(xt, kt))
 

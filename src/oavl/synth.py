@@ -410,8 +410,11 @@ def read_manifest(path: str) -> DatasetManifest:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"invalid JSON ({exc.msg})", line=lineno) from exc
+            except (ValueError, RecursionError) as exc:
+                # a JSONDecodeError, or a line past the parser's limits: an int
+                # of more than 4300 digits, or nesting deeper than the recursion limit
+                detail = getattr(exc, "msg", exc)
+                raise ManifestError(f"invalid JSON ({detail})", line=lineno) from exc
             if not isinstance(obj, dict):
                 raise ManifestError("entry must be a JSON object", line=lineno)
             image_path = obj.pop("image_path", None)

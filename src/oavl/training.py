@@ -448,7 +448,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         epoch = meta["epoch"]
         if type(epoch) is not int or epoch < 0:
             raise ValueError(f"epoch must be a whole number >= 0, got {epoch!r}")
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
         raise CheckpointError(f"malformed checkpoint config: {exc!r}") from exc
     model = DualEncoder(model_cfg, seed=train_cfg.seed)
     for key, p, attr, dims in _checkpoint_slots(model):

@@ -9,6 +9,8 @@ import zlib
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oavl
 from oavl.captions import split_text
@@ -23,7 +25,7 @@ from oavl.training import (
     load_checkpoint,
 )
 
-from conftest import make_record
+from conftest import make_record, malformed_manifests, truncated
 
 
 @pytest.fixture(scope="module")
@@ -527,6 +529,45 @@ class TestMalformedPgm:
         err = capsys.readouterr().err
         assert f"{entry.record.id}.pgm" in err
         assert fragment in err
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory, dataset_dir):
+    data = tmp_path_factory.mktemp("hostile") / "data"
+    shutil.copytree(dataset_dir, data)
+    return data
+
+
+class TestSampledHostileInputs:
+    """A few drawn cases per reader through the CLI: each is malformed by
+    construction, so it must end in the reader's typed error, exit 2."""
+
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_truncated_pgm_exits_2(self, hostile_dir, dataset_dir, trained, data):
+        entry = read_manifest(str(hostile_dir / "manifest.jsonl")).entries[0]
+        original = (dataset_dir / entry.image_path).read_bytes()
+        (hostile_dir / entry.image_path).write_bytes(data.draw(truncated(original)))
+        code = main(
+            [
+                "saliency", "--checkpoint", str(trained[0]),
+                "--manifest", str(hostile_dir / "manifest.jsonl"),
+                "--id", entry.record.id, "--prompt", "severe osteoarthritis.",
+                "--out", str(hostile_dir / "sal"),
+            ]
+        )
+        assert code == EXIT_IO
+        assert not (hostile_dir / "sal").exists()
+
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_malformed_manifest_exits_2(self, hostile_dir, dataset_dir, data):
+        path = hostile_dir / "malformed.jsonl"
+        original = (dataset_dir / "manifest.jsonl").read_bytes()
+        path.write_bytes(data.draw(malformed_manifests(original)))
+        out = hostile_dir / "captions.jsonl"
+        assert main(["captions", "--manifest", str(path), "--out", str(out)]) == EXIT_IO
+        assert not out.exists()
 
 
 class TestMalformedCheckpoint:

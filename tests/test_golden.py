@@ -4,6 +4,10 @@ A reordered clause, a renamed label or one extra RNG draw in sampling or
 perturbation changes a digest here even when every structural test still
 passes. A digest may change only with a deliberate change of output, and
 the change must say why.
+
+The model digests pin float bytes, so they hold for one numpy and BLAS
+build on one CPU family; a speed-up of the encoders or of Grad-CAM that
+keeps the same operands in the same order leaves them as they are.
 """
 
 import hashlib
@@ -14,9 +18,11 @@ import numpy as np
 import pytest
 
 from oavl.captions import DEFAULT_MAX_LEN, TEMPLATE_ORDER, build_vocabulary, render_caption
+from oavl.evaluation import embed_images, embed_texts, grad_cam
+from oavl.model import DualEncoder, ModelConfig
 from oavl.scores import perturb_negative, sample_record, severity_signature
 from oavl.seeding import make_rng
-from oavl.synth import SynthConfig, generate_dataset
+from oavl.synth import SynthConfig, generate_dataset, render_image
 from oavl.training import TrainConfig, _batch_tokens, epoch_plan, signature_groups
 
 N_RECORDS = 200
@@ -123,3 +129,37 @@ def test_generated_manifest(tmp_path):
     assert hashlib.sha256(data).hexdigest() == (
         "d4237dbcbc7979c48716fd9d338c4e123d449b506836b759d541abeb2a1fac4e"
     )
+
+
+MODEL_DIGESTS = {
+    # a seeded default-size DualEncoder: dtype, shape and bytes of each output
+    "embed_images": "de0dfab52414e5155331cfb5f55d82ba17857ebf2c39063011f7c7c368a58326",
+    "embed_texts": "f76112bee044c7d323791b6a27966232574d79615559005b8a6d613b20dae397",
+    "embed_texts_unprojected": "5a1b52f24eeea2d57beb25ffd33616d7b4d972ba933eed96c63164826eb557c0",
+    "grad_cam": "8964db594bf48a827c6218ad9486915a9b0b753ea1721cd21b5bb7af81c99086",
+}
+SALIENCY_PROMPTS = ("mild osteoarthritis.", "Image shows severe osteoarthritis in the left knee.")
+
+
+@pytest.fixture(scope="module")
+def model_outputs(records):
+    vocab = build_vocabulary()
+    model = DualEncoder(ModelConfig(vocab_size=len(vocab)), seed=4)
+    images = [render_image(r, SynthConfig(), seed=i) for i, r in enumerate(records[:3])]
+    texts = [render_caption(r, kind) for r in records[:4] for kind in TEMPLATE_ORDER]
+    maps = [grad_cam(model, image, p, vocab).values for image in images for p in SALIENCY_PROMPTS]
+    return {
+        "embed_images": [embed_images(model, images)],
+        "embed_texts": [embed_texts(model, vocab, texts)],
+        "embed_texts_unprojected": [embed_texts(model, vocab, texts, project=False)],
+        "grad_cam": maps,
+    }
+
+
+@pytest.mark.parametrize("output", sorted(MODEL_DIGESTS))
+def test_model_outputs(model_outputs, output):
+    digest = hashlib.sha256()
+    for array in model_outputs[output]:
+        digest.update(repr((array.dtype.str, array.shape)).encode("utf-8"))
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == MODEL_DIGESTS[output]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from oavl import nn
@@ -466,3 +468,59 @@ def test_embedding_gradient_matches_add_at(held):
     np.add.at(expected, idx.reshape(-1), g.reshape(-1, 6))
     assert np.allclose(w.grad, expected, rtol=0, atol=1e-12)
     assert np.array_equal(w.grad[8:], prior[8:])
+
+
+def _conv2d_window_reference(x, k, stride, g):
+    """conv2d's output, kernel gradient and input gradient from np.pad and
+    sliding_window_view, with the same (kh, kw, C) columns and GEMMs."""
+    n, h, w, c = x.shape
+    c_out, _, kh, kw = k.shape
+    ph, pw = kh // 2, kw // 2
+    h_out = (h + 2 * ph - kh) // stride + 1
+    w_out = (w + 2 * pw - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = np.ascontiguousarray(
+        windows[:, :h_out, :w_out].transpose(0, 1, 2, 4, 5, 3)
+    ).reshape(-1, kh * kw * c)
+    k_flat = k.transpose(0, 2, 3, 1).reshape(c_out, -1)
+    y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out)
+    g_flat = g.reshape(-1, c_out)
+    d_kernel = (g_flat.T @ cols).reshape(c_out, kh, kw, c).transpose(0, 3, 1, 2)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
+                g_flat @ k[:, :, i, j]
+            ).reshape(n, h_out, w_out, c)
+    return y, d_kernel, dxp[:, ph : ph + h, pw : pw + w]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    c=st.integers(1, 4),
+    c_out=st.integers(1, 4),
+    kh=st.integers(1, 4),
+    kw=st.integers(1, 4),
+    stride=st.integers(1, 3),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv2d_equals_window_view_reference_bit_for_bit(
+    n, h, w, c, c_out, kh, kw, stride, dtype, seed
+):
+    # conv2d's window view is an unchecked as_strided: a wrong shape or
+    # stride reads outside the padded buffer rather than raising
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((n, h, w, c)).astype(dtype), requires_grad=True)
+    k = Tensor(rng.standard_normal((c_out, c, kh, kw)).astype(dtype), requires_grad=True)
+    y = nn.conv2d(x, k, stride=stride)
+    g = rng.standard_normal(y.shape).astype(dtype)
+    nn.tsum(nn.mul(y, Tensor(g))).backward()
+    y_ref, d_kernel, d_input = _conv2d_window_reference(x.data, k.data, stride, g)
+    for got, want in ((y.data, y_ref), (k.grad, d_kernel), (x.grad, d_input)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oavl.scores import sample_record
 from oavl.seeding import make_rng
@@ -11,6 +13,7 @@ from oavl.synth import (
     DatasetManifest,
     ManifestEntry,
     ManifestError,
+    PgmError,
     SynthConfig,
     SynthConfigError,
     generate_dataset,
@@ -23,7 +26,7 @@ from oavl.synth import (
     write_pgm,
 )
 
-from conftest import make_record
+from conftest import NOT_UTF8, make_record, malformed_manifests, spliced, truncated
 
 CLEAN = SynthConfig(noise_sigma=0.0, max_shift=0)
 BG = np.float32(0.05)
@@ -246,6 +249,119 @@ class TestManifest:
     def test_invalid_json_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{not json}\n")
+        with pytest.raises(ManifestError, match="line 1"):
+            read_manifest(str(path))
+
+
+# --- hostile inputs: every malformed file ends in the reader's typed error ----
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def valid_pgm(fuzz_dir):
+    path = fuzz_dir / "valid.pgm"
+    write_pgm(str(path), np.linspace(0.0, 1.0, 6).reshape(2, 3))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def valid_manifest(fuzz_dir):
+    rng = make_rng(6)
+    entries = [
+        ManifestEntry(sample_record(rng, f"f{i}"), f"images/f{i}.pgm", split)
+        for i, split in enumerate(("train", "val", "test"))
+    ]
+    path = fuzz_dir / "valid.jsonl"
+    write_manifest(DatasetManifest(entries=entries), str(path))
+    return path.read_bytes()
+
+
+@st.composite
+def edited_pgms(draw, blob: bytes):
+    """A valid PGM after 1-3 drawn edits: a header line or the payload
+    replaced, the size line rewritten, bytes spliced in, or the file cut."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("line", "size", "splice", "cut")))
+        lines = blob.split(b"\n", 3)  # magic, size, maxval, payload
+        if kind == "line":
+            lines[draw(st.integers(0, len(lines) - 1))] = draw(st.binary(max_size=12))
+            blob = b"\n".join(lines)
+        elif kind == "size" and len(lines) > 1:
+            dims = draw(st.lists(st.integers(0, 2**70), max_size=3))
+            lines[1] = b" ".join(str(d).encode("ascii") for d in dims)
+            blob = b"\n".join(lines)
+        elif kind == "splice":
+            blob = draw(spliced(blob, st.one_of(NOT_UTF8, st.binary(min_size=1, max_size=4))))
+        elif kind == "cut" and blob:
+            blob = draw(truncated(blob))
+    return blob
+
+
+class TestHostileInputs:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_edited_pgm_reads_or_raises_pgm_error(self, fuzz_dir, valid_pgm, data):
+        path = fuzz_dir / "edited.pgm"
+        path.write_bytes(data.draw(edited_pgms(valid_pgm)))
+        try:
+            image = read_pgm(str(path))
+        except PgmError:
+            return
+        assert image.dtype == np.float32 and image.ndim == 2 and image.size
+        assert 0.0 <= image.min() and image.max() <= 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_truncated_pgm_raises_pgm_error(self, fuzz_dir, valid_pgm, data):
+        path = fuzz_dir / "truncated.pgm"
+        path.write_bytes(data.draw(truncated(valid_pgm)))
+        with pytest.raises(PgmError, match="truncated.pgm"):
+            read_pgm(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_malformed_manifest_raises_manifest_error(self, fuzz_dir, valid_manifest, data):
+        path = fuzz_dir / "malformed.jsonl"
+        path.write_bytes(data.draw(malformed_manifests(valid_manifest)))
+        with pytest.raises(ManifestError):
+            read_manifest(str(path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_edited_manifest_reads_or_raises_manifest_error(self, fuzz_dir, valid_manifest, data):
+        blob = valid_manifest
+        lines = blob.split(b"\n")
+        kind = data.draw(st.sampled_from(("line", "splice", "cut")))
+        if kind == "line":
+            row = data.draw(st.integers(0, len(lines) - 1))
+            lines[row] = data.draw(st.text(max_size=40)).encode("utf-8")
+            blob = b"\n".join(lines)
+        elif kind == "splice":
+            blob = data.draw(spliced(blob, st.binary(min_size=1, max_size=6)))
+        else:
+            blob = data.draw(truncated(blob))
+        path = fuzz_dir / "edited.jsonl"
+        path.write_bytes(blob)
+        try:
+            manifest = read_manifest(str(path))
+        except ManifestError:
+            return
+        assert len({e.record.id for e in manifest.entries}) == len(manifest.entries)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["[" * 100_000, '{"a": ' * 100_000, "1" * 5000, '{"age": ' + "7" * 5000 + "}"],
+        ids=["deep-array", "deep-object", "long-int", "long-int-field"],
+    )
+    def test_json_past_the_parser_limits_is_manifest_error(self, tmp_path, line):
+        # json.loads raises RecursionError for deep nesting and a plain
+        # ValueError for an int of more than 4300 digits, neither a JSONDecodeError
+        path = tmp_path / "limits.jsonl"
+        path.write_text(line + "\n")
         with pytest.raises(ManifestError, match="line 1"):
             read_manifest(str(path))
 

@@ -1,8 +1,13 @@
 import io
+import json
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oavl.captions import TEMPLATE_ORDER, build_vocabulary, render_caption, tokenize
 from oavl.model import DualEncoder, ModelConfig
@@ -10,6 +15,8 @@ from oavl.scores import perturb_negative, sample_record, severity_signature
 from oavl.seeding import make_rng
 from oavl.synth import SynthConfig, generate_dataset
 from oavl.training import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointError,
     TrainConfig,
@@ -21,9 +28,10 @@ from oavl.training import (
     save_checkpoint,
     signature_groups,
     train_step,
+    _read_checkpoint_tensors,
 )
 
-from conftest import make_record
+from conftest import NOT_UTF8, broken_json_objects, make_record, spliced, truncated
 
 VOCAB = build_vocabulary()
 
@@ -335,3 +343,122 @@ class TestCheckpoint:
             assert parameter_name in names
             assert f"optim.{parameter_name}.m" in names
         assert "meta.config_json" in names
+
+
+# --- hostile checkpoints: every malformed file ends in CheckpointError --------
+
+
+META = b"meta.config_json"
+
+
+@pytest.fixture(scope="module")
+def checkpoint_rows(tmp_path_factory):
+    """(name, dtype, dims, payload) of each tensor of a saved tiny model."""
+    path = str(tmp_path_factory.mktemp("ckpt-fuzz") / "model.bin")
+    save_checkpoint(path, DualEncoder(tiny_model_cfg(), seed=2), TrainConfig(seed=2), epoch=1)
+    return [
+        (name.encode("utf-8"), dtype, dims, payload)
+        for name, (dtype, dims, payload) in _read_checkpoint_tensors(path).items()
+    ]
+
+
+def _checkpoint_file(rows, count=None) -> bytes:
+    """Checkpoint bytes holding ``rows``, with the payload CRC recomputed so
+    that an edit reaches the parser instead of failing the checksum."""
+    out = io.BytesIO()
+    out.write(CHECKPOINT_MAGIC)
+    out.write(struct.pack("<II", CHECKPOINT_VERSION, len(rows) if count is None else count))
+    crc = 0
+    for name, dtype, dims, payload in rows:
+        out.write(struct.pack("<H", len(name)) + name + struct.pack("<BB", dtype, len(dims)))
+        out.write(b"".join(struct.pack("<I", d) for d in dims))
+        out.write(payload)
+        crc = zlib.crc32(payload, crc)
+    return out.getvalue() + struct.pack("<I", crc & 0xFFFFFFFF)
+
+
+@st.composite
+def edited_meta(draw, payload: bytes) -> bytes:
+    kind = draw(st.sampled_from(("field", "bytes", "text", "cut")))
+    if kind == "field":
+        return json.dumps(draw(broken_json_objects(json.loads(payload)))).encode("utf-8")
+    if kind == "bytes":
+        return draw(spliced(payload, NOT_UTF8))
+    if kind == "text":
+        return draw(st.text(max_size=20)).encode("utf-8")
+    return draw(truncated(payload))
+
+
+def _edited_checkpoint(draw, rows) -> bytes:
+    """A valid checkpoint after 1-2 drawn edits of its config JSON or its
+    tensor headers: a tensor renamed, dropped or duplicated, a dtype or shape
+    changed (with or without a payload of the new size), a step count
+    rewritten, or the declared tensor count changed."""
+    rows = list(rows)
+    meta = next(payload for name, _dtype, _dims, payload in rows if name == META)
+    count = None
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(
+            st.sampled_from(("meta", "name", "drop", "copy", "dtype", "dims", "step", "count"))
+        )
+        i = draw(st.integers(0, len(rows) - 1))
+        name, dtype, dims, payload = rows[i]
+        if kind == "meta":
+            edited = draw(edited_meta(meta))
+            rows = [(r[0], r[1], (len(edited),), edited) if r[0] == META else r for r in rows]
+        elif kind == "name":
+            rows[i] = (draw(st.binary(max_size=12)), dtype, dims, payload)
+        elif kind == "drop":
+            del rows[i]
+        elif kind == "copy":
+            rows.insert(draw(st.integers(0, len(rows))), rows[i])
+        elif kind == "dtype":
+            rows[i] = (name, draw(st.integers(0, 255)), dims, payload)
+        elif kind == "dims":
+            new = tuple(draw(st.lists(st.integers(0, 6), max_size=4)))
+            if draw(st.booleans()):  # a payload of the new size, so only the shape is wrong
+                payload = bytes(int(np.prod(new)) * (4 if dtype == 0 else 1))
+            else:
+                new = tuple(draw(st.lists(st.integers(0, 2**32 - 1), max_size=4)))
+            rows[i] = (name, dtype, new, payload)
+        elif kind == "step":
+            steps = [j for j, r in enumerate(rows) if r[0].endswith(b".t")]
+            if steps:
+                j = draw(st.sampled_from(steps))
+                value = draw(st.floats(width=32))
+                rows[j] = rows[j][:3] + (struct.pack("<f", value),)
+        else:
+            count = draw(st.integers(0, 2 * len(rows) + 2))
+        if not rows:
+            break
+    return _checkpoint_file(rows, count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_edited_checkpoint_loads_or_raises_checkpoint_error(
+    tmp_path_factory, checkpoint_rows, data
+):
+    path = tmp_path_factory.getbasetemp() / "edited.bin"
+    path.write_bytes(_edited_checkpoint(data.draw, checkpoint_rows))
+    for read in (load_checkpoint, checkpoint_tensor_listing):
+        try:
+            read(str(path))
+        except CheckpointError:
+            pass
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [b"[" * 100_000, b'{"a": ' * 100_000, b"1" * 5000],
+    ids=["deep-array", "deep-object", "long-int"],
+)
+def test_config_json_past_the_parser_limits_is_checkpoint_error(tmp_path, checkpoint_rows, meta):
+    rows = [
+        (name, dtype, (len(meta),), meta) if name == META else (name, dtype, dims, payload)
+        for name, dtype, dims, payload in checkpoint_rows
+    ]
+    path = tmp_path / "limits.bin"
+    path.write_bytes(_checkpoint_file(rows))
+    with pytest.raises(CheckpointError, match="malformed checkpoint config"):
+        load_checkpoint(str(path))
