@@ -33,11 +33,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
+def _read_json(path: str, what: str):
+    """A JSON file's value; malformed JSON, nesting past the parser's recursion
+    limit included, is a usage error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise UsageError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+
+
 def _load_config(path: Optional[str]) -> Dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = _read_json(path, "config file")
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
     # imported here, after --threads is pinned: both modules load numpy
@@ -185,8 +194,7 @@ def _iter_records(args):
         for entry in read_manifest(args.manifest).entries:
             yield entry.record
         return
-    with open(args.record, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_json(args.record, "record file")
     objects = payload if isinstance(payload, list) else [payload]
     for obj in objects:
         yield OaScoreRecord.from_json_dict(obj)

@@ -70,6 +70,43 @@ class ModelConfig:
         return cls(**obj).validate()
 
 
+def parameter_shapes(cfg: ModelConfig) -> "OrderedDict[str, Tuple[int, ...]]":
+    """Every parameter's name and shape, in the fixed order; allocates nothing.
+
+    Conv kernels are [C_out, C_in, kh, kw] and linear weights [d_in, d_out].
+    """
+    c1, c2, c3 = cfg.channels
+    d = cfg.embed_dim
+    shapes: "OrderedDict[str, Tuple[int, ...]]" = OrderedDict()
+    convs = (("image.conv1", c1, 1), ("image.conv2", c2, c1), ("image.conv3", c3, c2))
+    for name, c_out, c_in in convs:
+        shapes[name + ".weight"] = (c_out, c_in, 3, 3)
+        shapes[name + ".bias"] = (c_out,)
+    shapes["text.token_embedding"] = (cfg.vocab_size, d)
+    shapes["text.pos_embedding"] = (cfg.max_len, d)
+    for name in ("text.conv1", "text.conv2"):
+        shapes[name + ".weight"] = (d, d, 1, 3)
+        shapes[name + ".bias"] = (d,)
+    for name, d_in in (("proj.image", c3), ("proj.text", d)):
+        shapes[name + ".weight"] = (d_in, cfg.proj_dim)
+        shapes[name + ".bias"] = (cfg.proj_dim,)
+    shapes["log_temperature"] = ()
+    return shapes
+
+
+def _initial_value(name: str, shape: Tuple[int, ...], cfg: ModelConfig, seed: int) -> np.ndarray:
+    if name == "log_temperature":
+        return np.asarray(math.log(cfg.temperature_init))
+    if name.endswith(".bias"):
+        return np.zeros(shape)  # zero bias: a projection is scale-free at init
+    if name.endswith("_embedding"):
+        return 0.02 * make_rng(seed, "init", name).standard_normal(shape)
+    # He init for a conv kernel, 1 / d_in variance for a linear weight
+    fan_in, gain = (math.prod(shape[1:]), 2.0) if len(shape) == 4 else (shape[0], 1.0)
+    rng = make_rng(seed, "init", name[: -len(".weight")])
+    return math.sqrt(gain / fan_in) * rng.standard_normal(shape)
+
+
 class DualEncoder:
     """Image CNN + text token-conv encoder + projection heads + temperature.
 
@@ -85,46 +122,12 @@ class DualEncoder:
         cfg.validate()
         self.cfg = cfg
         self.dtype = dtype
-        self._params: "OrderedDict[str, Parameter]" = OrderedDict()
-
-        c1, c2, c3 = cfg.channels
-        self._add_conv("image.conv1", c1, 1, 3, 3, seed)
-        self._add_conv("image.conv2", c2, c1, 3, 3, seed)
-        self._add_conv("image.conv3", c3, c2, 3, 3, seed)
-
-        d = cfg.embed_dim
-        self._add_param(
-            "text.token_embedding",
-            0.02 * make_rng(seed, "init", "text.token_embedding").standard_normal((cfg.vocab_size, d)),
+        self._params: "OrderedDict[str, Parameter]" = OrderedDict(
+            (name, Parameter(np.asarray(_initial_value(name, shape, cfg, seed), dtype=dtype)))
+            for name, shape in parameter_shapes(cfg).items()
         )
-        self._add_param(
-            "text.pos_embedding",
-            0.02 * make_rng(seed, "init", "text.pos_embedding").standard_normal((cfg.max_len, d)),
-        )
-        self._add_conv("text.conv1", d, d, 1, 3, seed)
-        self._add_conv("text.conv2", d, d, 1, 3, seed)
-
-        self._add_linear("proj.image", c3, cfg.proj_dim, seed)
-        self._add_linear("proj.text", d, cfg.proj_dim, seed)
-        self._add_param("log_temperature", np.asarray(math.log(cfg.temperature_init)))
 
     # -- parameter bookkeeping ------------------------------------------------
-
-    def _add_param(self, name: str, data: np.ndarray) -> None:
-        self._params[name] = Parameter(np.asarray(data, dtype=self.dtype))
-
-    def _add_conv(self, name: str, c_out: int, c_in: int, kh: int, kw: int, seed: int) -> None:
-        fan_in = c_in * kh * kw
-        std = math.sqrt(2.0 / fan_in)
-        rng = make_rng(seed, "init", name)
-        self._add_param(name + ".weight", std * rng.standard_normal((c_out, c_in, kh, kw)))
-        self._add_param(name + ".bias", np.zeros(c_out))
-
-    def _add_linear(self, name: str, d_in: int, d_out: int, seed: int) -> None:
-        std = math.sqrt(1.0 / d_in)
-        rng = make_rng(seed, "init", name)
-        self._add_param(name + ".weight", std * rng.standard_normal((d_in, d_out)))
-        self._add_param(name + ".bias", np.zeros(d_out))  # zero bias: projection is scale-free at init
 
     def parameters(self) -> "OrderedDict[str, Parameter]":
         return self._params
@@ -139,8 +142,8 @@ class DualEncoder:
     # -- forward ---------------------------------------------------------------
 
     def _conv_block(self, x: Tensor, name: str, stride: int) -> Tensor:
-        y = nn.conv2d(x, self._params[name + ".weight"], stride=stride)
-        return nn.relu(nn.add(y, self._params[name + ".bias"]))
+        weight, bias = self._params[name + ".weight"], self._params[name + ".bias"]
+        return nn.relu(nn.conv2d(x, weight, bias, stride=stride))
 
     def image_features(self, images: np.ndarray) -> Tuple[Tensor, Tensor]:
         """Final conv-stage activations [N, h, w, C3] and pooled embedding [N, C3]."""

@@ -126,13 +126,18 @@ def _pair_tensors(a: TensorLike, b: TensorLike) -> Tuple[Tensor, Tensor]:
     return as_tensor(a), as_tensor(b)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, held: bool = False) -> None:
+    """Add g into t.grad; the first arrival becomes t.grad in C order.
+
+    A g the caller has just computed is kept as it is when already C-ordered.
+    A ``held`` g (the output's own gradient, or a view of it that another
+    parent may also receive) is copied first, so no two tensors share a
+    gradient buffer. C order keeps Adam's elementwise updates fast.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        # own a C-ordered copy: g may alias an array another parent also
-        # receives, or be a transposed view that would slow Adam's updates
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True, order="C")
+        t.grad = np.array(g, dtype=t.data.dtype, copy=True if held else None, order="C")
     else:
         t.grad += g
 
@@ -152,8 +157,10 @@ def add(a: TensorLike, b: TensorLike) -> Tensor:
     out = Tensor(at.data + bt.data, parents=(at, bt))
 
     def backward(g):
-        _accumulate(at, _unbroadcast(g, at.shape))
-        _accumulate(bt, _unbroadcast(g, bt.shape))
+        if at.requires_grad:
+            _accumulate(at, _unbroadcast(g, at.shape), held=True)
+        if bt.requires_grad:
+            _accumulate(bt, _unbroadcast(g, bt.shape), held=True)
 
     out._backward = backward
     return out
@@ -164,8 +171,10 @@ def mul(a: TensorLike, b: TensorLike) -> Tensor:
     out = Tensor(at.data * bt.data, parents=(at, bt))
 
     def backward(g):
-        _accumulate(at, _unbroadcast(g * bt.data, at.shape))
-        _accumulate(bt, _unbroadcast(g * at.data, bt.shape))
+        if at.requires_grad:
+            _accumulate(at, _unbroadcast(g * bt.data, at.shape))
+        if bt.requires_grad:
+            _accumulate(bt, _unbroadcast(g * at.data, bt.shape))
 
     out._backward = backward
     return out
@@ -176,8 +185,10 @@ def div(a: TensorLike, b: TensorLike) -> Tensor:
     out = Tensor(at.data / bt.data, parents=(at, bt))
 
     def backward(g):
-        _accumulate(at, _unbroadcast(g / bt.data, at.shape))
-        _accumulate(bt, _unbroadcast(-g * at.data / (bt.data * bt.data), bt.shape))
+        if at.requires_grad:
+            _accumulate(at, _unbroadcast(g / bt.data, at.shape))
+        if bt.requires_grad:
+            _accumulate(bt, _unbroadcast(-g * at.data / (bt.data * bt.data), bt.shape))
 
     out._backward = backward
     return out
@@ -192,8 +203,10 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
     out = Tensor(at.data @ bt.data, parents=(at, bt))
 
     def backward(g):
-        _accumulate(at, g @ bt.data.T)
-        _accumulate(bt, at.data.T @ g)
+        if at.requires_grad:
+            _accumulate(at, g @ bt.data.T)
+        if bt.requires_grad:
+            _accumulate(bt, at.data.T @ g)
 
     out._backward = backward
     return out
@@ -205,7 +218,7 @@ def transpose(a: TensorLike) -> Tensor:
     out = Tensor(at.data.T, parents=(at,))
 
     def backward(g):
-        _accumulate(at, g.T)
+        _accumulate(at, g.T, held=True)
 
     out._backward = backward
     return out
@@ -254,12 +267,9 @@ def tsum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(at.data.sum(axis=axis, keepdims=keepdims), parents=(at,))
 
     def backward(g):
-        if axis is None:
-            _accumulate(at, np.broadcast_to(g, at.shape).astype(at.dtype, copy=False))
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(at, np.broadcast_to(g, at.shape).astype(at.dtype, copy=False))
+        _accumulate(at, np.broadcast_to(g, at.shape), held=True)
 
     out._backward = backward
     return out
@@ -310,13 +320,25 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     return out
 
 
-def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
-    """Cross-correlation of channels-last [N, H, W, C] with [C_out, C_in, kh, kw].
+def _tap_slices(offset: int, stride: int, n_out: int, size: int) -> Optional[Tuple[slice, slice]]:
+    """(output slice, input slice) of the outputs whose kernel tap reads input
+    index o * stride + offset inside [0, size), or None if all read padding."""
+    lo = max(0, -(offset // stride))
+    hi = min(n_out, (size - 1 - offset) // stride + 1)
+    if lo >= hi:
+        return None
+    first = lo * stride + offset
+    return slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)
+
+
+def conv2d(x: TensorLike, kernel: TensorLike, bias: TensorLike, stride: int = 1) -> Tensor:
+    """Cross-correlation of channels-last [N, H, W, C] with [C_out, C_in, kh, kw],
+    plus a bias [C_out].
 
     Zero padding of (kh // 2, kw // 2) on each side centres odd kernels, so a
     stride-1 layer keeps H and W. The output is channels-last too.
     """
-    xt, kt = as_tensor(x), as_tensor(kernel)
+    xt, kt, bt = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if xt.ndim != 4 or kt.ndim != 4:
         raise ShapeError("conv2d expects 4-D input and kernel")
     if not isinstance(stride, (int, np.integer)) or isinstance(stride, bool) or stride < 1:
@@ -325,6 +347,8 @@ def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
     c_out, c_in, kh, kw = kt.shape
     if c != c_in:
         raise ShapeError(f"conv2d channel mismatch: input {c}, kernel {c_in}")
+    if bt.shape != (c_out,):
+        raise ShapeError(f"conv2d bias shape {bt.shape} does not match {c_out} output channels")
     ph, pw = kh // 2, kw // 2
     h_out = (h + 2 * ph - kh) // stride + 1
     w_out = (w + 2 * pw - kw) // stride + 1
@@ -344,22 +368,31 @@ def conv2d(x: TensorLike, kernel: TensorLike, stride: int = 1) -> Tensor:
     )
     cols = np.ascontiguousarray(windows).reshape(n * h_out * w_out, kh * kw * c)
     k_flat = kt.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c)
-    out = Tensor((cols @ k_flat.T).reshape(n, h_out, w_out, c_out), parents=(xt, kt))
+    y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out)
+    y += bt.data
+    out = Tensor(y, parents=(xt, kt, bt))
 
     def backward(g):
         g_flat = g.reshape(n * h_out * w_out, c_out)
+        if bt.requires_grad:
+            _accumulate(bt, _unbroadcast(g, bt.shape))
         if kt.requires_grad:
             d_kernel = (g_flat.T @ cols).reshape(c_out, kh, kw, c)
             _accumulate(kt, d_kernel.transpose(0, 3, 1, 2))
         if xt.requires_grad:
-            # one GEMM per kernel tap, added straight into the padded gradient
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[
-                        :, i : i + stride * h_out : stride, j : j + stride * w_out : stride
-                    ] += (g_flat @ kt.data[:, :, i, j]).reshape(n, h_out, w_out, c)
-            _accumulate(xt, dxp[:, ph : ph + h, pw : pw + w])
+            # one GEMM per kernel tap; the outputs whose tap reads inside the
+            # input add into its gradient, taps in (i, j) order from zero
+            dx = np.zeros((n, h, w, c), dtype=xt.dtype)
+            row_taps = [_tap_slices(i - ph, stride, h_out, h) for i in range(kh)]
+            col_taps = [_tap_slices(j - pw, stride, w_out, w) for j in range(kw)]
+            for i, rows in enumerate(row_taps):
+                for j, cols_ in enumerate(col_taps):
+                    if rows is None or cols_ is None:
+                        continue
+                    (out_rows, in_rows), (out_cols, in_cols) = rows, cols_
+                    tap = (g_flat @ kt.data[:, :, i, j]).reshape(n, h_out, w_out, c)
+                    dx[:, in_rows, in_cols] += tap[:, out_rows, out_cols]
+            _accumulate(xt, dx)
 
     out._backward = backward
     return out

@@ -8,6 +8,7 @@ perturbed negative caption, and applies per-group Adam learning rates.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import json
 import math
@@ -29,7 +30,7 @@ from .captions import (
     shuffle_sentences,
     tokenize,
 )
-from .model import DualEncoder, ModelConfig, similarity_matrix, total_loss
+from .model import DualEncoder, ModelConfig, parameter_shapes, similarity_matrix, total_loss
 from .scores import OaScoreRecord, perturb_negative, severity_signature
 from .seeding import make_rng
 from .synth import DatasetManifest, read_pgm, write_atomic
@@ -255,6 +256,31 @@ def _probe_set(
     return records, kinds, negatives
 
 
+# mallopt parameter numbers of glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Keep the memory a train step frees in the heap for the next step.
+
+    Every step frees and re-allocates the same tens of MB of activations and
+    gradients. glibc's default hands the heap top back to the OS whenever
+    more than twice its largest recently freed block lies free there, and
+    the next step page-faults it back in: about 2,400 minor faults per
+    default-size step. Fixed thresholds keep the heap at its high-water mark
+    (blocks under 32 MiB come from the heap; more than 1 GiB free at the top
+    is still returned). Other C libraries have no mallopt and are left as
+    they are.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
+    mallopt(_M_TRIM_THRESHOLD, 2**30)
+
+
 def fit(
     manifest: DatasetManifest,
     cfg: TrainConfig,
@@ -267,6 +293,7 @@ def fit(
     zero-shot accuracy is recorded every epoch when a val split exists.
     """
     cfg.validate()
+    _keep_freed_heap()
     train_entries = manifest.split("train")
     if not train_entries:
         raise ValueError("manifest has no train split")
@@ -356,23 +383,27 @@ def _serialize_tensor(out: io.BytesIO, name: str, payload: bytes, dtype: int, di
 _OPTIM_SLOTS = ((".m", "m"), (".v", "v"), (".t", "t"))
 
 
-def _checkpoint_slots(model: DualEncoder) -> List[Tuple[str, nn.Parameter, str, Tuple[int, ...]]]:
-    """(tensor name, parameter, attribute, dims) per saved slot, in file order.
+def _checkpoint_slots(cfg: ModelConfig) -> List[Tuple[str, str, str, Tuple[int, ...]]]:
+    """(tensor name, parameter name, attribute, dims) per saved slot, in file order.
 
     Every parameter's value first, then each parameter's Adam state in turn.
     """
-    params = model.parameters().items()
-    slots = [(name, p, "data") for name, p in params]
-    for name, p in params:
-        slots += [(f"optim.{name}{suffix}", p, attr) for suffix, attr in _OPTIM_SLOTS]
-    return [(key, p, attr, (1,) if attr == "t" else p.data.shape) for key, p, attr in slots]
+    shapes = parameter_shapes(cfg)
+    slots = [(name, name, "data", shape) for name, shape in shapes.items()]
+    for name, shape in shapes.items():
+        slots += [
+            (f"optim.{name}{suffix}", name, attr, (1,) if attr == "t" else shape)
+            for suffix, attr in _OPTIM_SLOTS
+        ]
+    return slots
 
 
 def save_checkpoint(path: str, model: DualEncoder, cfg: TrainConfig, epoch: int) -> None:
     """Write the binary checkpoint atomically: magic, version, tensors, payload CRC32."""
+    params = model.parameters()
     tensors = [
-        (key, np.asarray(getattr(p, attr), dtype="<f4").tobytes(), _DTYPE_F32, dims)
-        for key, p, attr, dims in _checkpoint_slots(model)
+        (key, np.asarray(getattr(params[name], attr), dtype="<f4").tobytes(), _DTYPE_F32, dims)
+        for key, name, attr, dims in _checkpoint_slots(model.cfg)
     ]
     meta = {
         "epoch": epoch,
@@ -450,14 +481,18 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"epoch must be a whole number >= 0, got {epoch!r}")
     except (ValueError, TypeError, KeyError, RecursionError) as exc:
         raise CheckpointError(f"malformed checkpoint config: {exc!r}") from exc
-    model = DualEncoder(model_cfg, seed=train_cfg.seed)
-    for key, p, attr, dims in _checkpoint_slots(model):
+    # every stored shape is checked against the config before the model is
+    # built, so a config declaring a huge layer allocates nothing
+    slots = _checkpoint_slots(model_cfg)
+    for key, _name, _attr, dims in slots:
         if key not in tensors:
             raise CheckpointError(f"checkpoint is missing tensor {key!r}")
-        dtype, stored_dims, payload = tensors[key]
+        dtype, stored_dims, _payload = tensors[key]
         if dtype != _DTYPE_F32 or stored_dims != dims:
             raise CheckpointError(f"tensor {key!r} has unexpected dtype/shape")
-        values = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+    model = DualEncoder(model_cfg, seed=train_cfg.seed)
+    for key, name, attr, dims in slots:
+        values = np.frombuffer(tensors[key][2], dtype="<f4").reshape(dims).astype(np.float32)
         if attr == "t":
             step = float(values[0])
             if not (math.isfinite(step) and step >= 0 and step.is_integer()):
@@ -465,7 +500,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                     f"tensor {key!r} holds step count {step!r}, not a whole number >= 0"
                 )
             values = int(step)
-        setattr(p, attr, values)
+        setattr(model.param(name), attr, values)
     return Checkpoint(model=model, train_config=train_cfg, epoch=epoch)
 
 

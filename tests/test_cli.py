@@ -129,6 +129,19 @@ def test_config_value_of_wrong_type_is_validation_error(
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
+@pytest.mark.parametrize("source", ["config", "record"])
+def test_json_nested_past_the_parser_limit_is_validation_error(source, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    args = {
+        "config": ["--config", str(deep), "synth", "--out-dir", str(tmp_path / "data")],
+        "record": ["captions", "--record", str(deep), "--out", str(tmp_path / "c.jsonl")],
+    }[source]
+    assert main(args) == EXIT_VALIDATION
+    assert f"{source} file {str(deep)!r} is not valid JSON" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["deep.json"]
+
+
 def test_config_int_passes_as_float(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"noise_sigma": 0, "n": 12, "height": 32, "width": 32}))
@@ -615,6 +628,15 @@ class TestMalformedCheckpoint:
         _with_tensor(ckpt, bad, "optim.log_temperature.t", 0, (1,), struct.pack("<f", step))
         assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
         assert "'optim.log_temperature.t' holds step count" in capsys.readouterr().err
+
+    def test_config_declaring_a_huge_vocabulary_is_io_error(
+        self, dataset_dir, trained, tmp_path, capsys
+    ):
+        ckpt, _ = trained
+        bad = tmp_path / "bad.bin"
+        _with_meta(ckpt, bad, _set(2**40, "model", "vocab_size"))
+        assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
+        assert "'text.token_embedding' has unexpected dtype/shape" in capsys.readouterr().err
 
     def test_tensor_name_not_utf8_is_io_error(self, dataset_dir, trained, tmp_path):
         ckpt, _ = trained

@@ -51,16 +51,17 @@ class TestForward:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 5, 5, 3))
         kernel = np.ones((1, 3, 1, 1))
-        y = nn.conv2d(Tensor(x), Tensor(kernel), stride=1)
-        assert np.allclose(y.data[..., 0], x.sum(axis=-1))
+        y = nn.conv2d(Tensor(x), Tensor(kernel), Tensor(np.array([0.5])), stride=1)
+        assert np.allclose(y.data[..., 0], x.sum(axis=-1) + 0.5)
 
     def test_conv_zero_kernel(self):
-        y = nn.conv2d(np.ones((1, 4, 4, 2)), np.zeros((3, 2, 3, 3)), stride=1)
-        assert not y.data.any()
+        bias = np.array([1.0, -2.0, 0.25])
+        y = nn.conv2d(np.ones((1, 4, 4, 2)), np.zeros((3, 2, 3, 3)), bias, stride=1)
         assert y.shape == (1, 4, 4, 3)
+        assert np.array_equal(y.data, np.broadcast_to(bias, y.shape))
 
     def test_conv_output_shape_formula(self):
-        y = nn.conv2d(np.zeros((1, 11, 9, 1)), np.zeros((2, 1, 3, 3)), stride=2)
+        y = nn.conv2d(np.zeros((1, 11, 9, 1)), np.zeros((2, 1, 3, 3)), np.zeros(2), stride=2)
         assert y.shape == (1, 5 + 1, 4 + 1, 2)
 
     @pytest.mark.parametrize(
@@ -72,11 +73,12 @@ class TestForward:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(x_shape)
         k = rng.standard_normal(k_shape)
+        bias = rng.standard_normal(k_shape[0])
         n, h, w, c = x_shape
         c_out, _, kh, kw = k_shape
         # one output per stride-th input position, the kernel centred on it
         rows, cols = range(0, h, stride), range(0, w, stride)
-        expected = np.zeros((n, len(rows), len(cols), c_out))
+        expected = np.tile(bias, (n, len(rows), len(cols), 1))
         for b in range(n):
             for oy, y in enumerate(rows):
                 for ox, xx in enumerate(cols):
@@ -87,18 +89,23 @@ class TestForward:
                                     yy, xj = y + i - kh // 2, xx + j - kw // 2
                                     if 0 <= yy < h and 0 <= xj < w:
                                         expected[b, oy, ox, o] += x[b, yy, xj, ci] * k[o, ci, i, j]
-        y = nn.conv2d(x, k, stride=stride)
+        y = nn.conv2d(x, k, bias, stride=stride)
         assert y.shape == expected.shape
         assert np.allclose(y.data, expected, atol=1e-12)
 
     def test_conv_channel_mismatch(self):
-        with pytest.raises(ShapeError):
-            nn.conv2d(np.zeros((1, 4, 4, 2)), np.zeros((1, 3, 3, 3)))
+        with pytest.raises(ShapeError, match="channel"):
+            nn.conv2d(np.zeros((1, 4, 4, 2)), np.zeros((1, 3, 3, 3)), np.zeros(1))
+
+    @pytest.mark.parametrize("bias_shape", [(2,), (1, 3), ()], ids=["short", "2-D", "scalar"])
+    def test_conv_bias_must_hold_one_value_per_output_channel(self, bias_shape):
+        with pytest.raises(ShapeError, match="bias"):
+            nn.conv2d(np.zeros((1, 4, 4, 2)), np.zeros((3, 2, 3, 3)), np.zeros(bias_shape))
 
     @pytest.mark.parametrize("stride", [0, -1, 1.5], ids=["zero", "negative", "fractional"])
     def test_conv_rejects_stride_that_is_not_a_positive_int(self, stride):
         with pytest.raises(ShapeError, match="stride"):
-            nn.conv2d(np.zeros((1, 4, 4, 2)), np.zeros((3, 2, 3, 3)), stride=stride)
+            nn.conv2d(np.zeros((1, 4, 4, 2)), np.zeros((3, 2, 3, 3)), np.zeros(3), stride=stride)
 
     def test_l2_normalize_three_four(self):
         y = nn.l2_normalize(Tensor(np.array([3.0, 4.0])))
@@ -303,10 +310,19 @@ def _case_embedding(rng):
     return [w], lambda: weighted_sum(nn.embedding(w, idx), np.random.default_rng(0))
 
 
+def _conv2d_case(rng, x_shape, k_shape, stride):
+    x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+    k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
+    b = Tensor(rng.standard_normal(k_shape[0]), requires_grad=True)
+
+    def f():
+        return weighted_sum(nn.conv2d(x, k, b, stride=stride), np.random.default_rng(0))
+
+    return [x, k, b], f
+
+
 def _case_conv2d(rng):
-    x = Tensor(rng.standard_normal((1, 5, 5, 2)), requires_grad=True)
-    k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
-    return [x, k], lambda: weighted_sum(nn.conv2d(x, k, stride=1), np.random.default_rng(0))
+    return _conv2d_case(rng, (1, 5, 5, 2), (3, 2, 3, 3), stride=1)
 
 
 def _case_embedding_shared(rng):
@@ -324,16 +340,12 @@ def _case_embedding_shared(rng):
 
 def _case_conv2d_image(rng):
     # the image encoder's strided 3x3 kernel, on one odd and one even side
-    x = Tensor(rng.standard_normal((2, 7, 6, 3)), requires_grad=True)
-    k = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
-    return [x, k], lambda: weighted_sum(nn.conv2d(x, k, stride=2), np.random.default_rng(0))
+    return _conv2d_case(rng, (2, 7, 6, 3), (4, 3, 3, 3), stride=2)
 
 
 def _case_conv2d_strided(rng):
     # the text encoder's 1x3 kernel: padding along the width only
-    x = Tensor(rng.standard_normal((2, 6, 7, 3)), requires_grad=True)
-    k = Tensor(rng.standard_normal((4, 3, 1, 3)), requires_grad=True)
-    return [x, k], lambda: weighted_sum(nn.conv2d(x, k, stride=2), np.random.default_rng(0))
+    return _conv2d_case(rng, (2, 6, 7, 3), (4, 3, 1, 3), stride=2)
 
 
 def _case_l2_normalize(rng):
@@ -398,11 +410,93 @@ def test_unbroadcast_shapes():
     assert np.all(b.grad == 2)
 
 
+# --- gradient buffers ---------------------------------------------------------
+
+
+def graph_tensors(root: Tensor):
+    """Every tensor reachable from root, depth first along _parents."""
+    seen, order, stack = set(), [], [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            order.append(t)
+            stack.extend(reversed(t._parents))
+    return order
+
+
+def assert_no_shared_gradients(tensors):
+    grads = [t.grad for t in tensors if t.grad is not None]
+    for i, a in enumerate(grads):
+        for b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize(
+    "build, scale",
+    [
+        (lambda x: nn.add(x, x), lambda x: 2.0),
+        (lambda x: nn.mul(x, x), lambda x: 2.0 * x),
+        (lambda x: nn.add(x, nn.transpose(nn.transpose(x))), lambda x: 2.0),
+    ],
+    ids=["add(x, x)", "mul(x, x)", "add(x, x.T.T)"],
+)
+def test_an_input_read_twice_gets_its_own_summed_gradient(build, scale):
+    # backward hands fresh gradients on uncopied; a pass-through one must
+    # still be copied, or the second arrival would add into the first's
+    # buffer. x is a column, whose transpose is C-ordered as well, so only
+    # that copy keeps a transposed gradient apart from its source.
+    rng = np.random.default_rng(6)
+    data = rng.standard_normal((4, 1)).astype(np.float32)
+    weights = rng.standard_normal((4, 1)).astype(np.float32)
+    x = Tensor(data.copy(), requires_grad=True)
+    loss = nn.tsum(nn.mul(build(x), Tensor(weights)))
+    loss.backward()
+    assert_no_shared_gradients(graph_tensors(loss))
+    # float32 products of float32 operands round the exact float64 ones
+    expected = (weights.astype(np.float64) * scale(data.astype(np.float64))).astype(np.float32)
+    assert x.grad.dtype == np.float32
+    assert np.array_equal(x.grad, expected)
+
+
+def test_train_step_gradients_have_their_own_buffers(monkeypatch):
+    from oavl.captions import build_vocabulary
+    from oavl.model import DualEncoder, ModelConfig
+    from oavl.training import TrainConfig, train_step
+
+    roots = []
+    sweep = Tensor.backward
+
+    def recording_sweep(self):
+        roots.append(self)
+        sweep(self)
+
+    monkeypatch.setattr(Tensor, "backward", recording_sweep)
+    cfg = ModelConfig(vocab_size=len(build_vocabulary()))
+    rng = np.random.default_rng(8)
+    images = rng.random((32, cfg.height, cfg.width)).astype(np.float32)
+    pos, neg = rng.integers(1, cfg.vocab_size, (2, 32, cfg.max_len))
+    pos[:, 40:] = neg[:, 55:] = cfg.pad_index
+    graphs = []
+    for dtype in (np.float32, np.float64):
+        train_step(DualEncoder(cfg, seed=8, dtype=dtype), images, pos, neg, TrainConfig())
+        graphs.append(graph_tensors(roots[-1]))
+    single, double = graphs
+    assert_no_shared_gradients(single)
+    assert len(single) == len(double)
+    for t32, t64 in zip(single, double):
+        assert (t32.grad is None) == (t64.grad is None)
+        if t32.grad is not None:
+            assert t32.grad.dtype == np.float32 and t32.grad.shape == t64.grad.shape
+            error = np.linalg.norm(t32.grad - t64.grad)
+            assert error <= 1e-3 * np.linalg.norm(t64.grad) + 1e-7
+
+
 # --- differential tests against the previous formulas ---------------------------
 
 
-def _conv2d_oracle(x, k, stride, g):
-    """Output, kernel gradient and input gradient of conv2d by im2col in the
+def _conv2d_oracle(x, k, b, stride, g):
+    """Output, kernel, bias and input gradients of conv2d by im2col in the
     kernel's own (C, kh, kw) order, scattered back slice by slice."""
     n, h, w, c = x.shape
     c_out, _, kh, kw = k.shape
@@ -413,7 +507,7 @@ def _conv2d_oracle(x, k, stride, g):
     windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     cols = np.ascontiguousarray(windows[:, :h_out, :w_out]).reshape(-1, c * kh * kw)
     k_flat = k.reshape(c_out, -1)
-    y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out)
+    y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out) + b
     g_flat = g.reshape(-1, c_out)
     d_kernel = (g_flat.T @ cols).reshape(k.shape)
     d_cols = (g_flat @ k_flat).reshape(n, h_out, w_out, c, kh, kw)
@@ -423,7 +517,7 @@ def _conv2d_oracle(x, k, stride, g):
             dxp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += d_cols[
                 ..., i, j
             ]
-    return y, d_kernel, dxp[:, ph : ph + h, pw : pw + w]
+    return y, d_kernel, g.sum(axis=(0, 1, 2)), dxp[:, ph : ph + h, pw : pw + w]
 
 
 # The default ModelConfig's four conv layers at batch 2: image.conv1-3 on a
@@ -442,14 +536,16 @@ def test_conv2d_matches_channel_major_im2col_oracle(layer):
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
     k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
-    y = nn.conv2d(x, k, stride=stride)
+    b = Tensor(rng.standard_normal(k_shape[0]), requires_grad=True)
+    y = nn.conv2d(x, k, b, stride=stride)
     g = rng.standard_normal(y.shape)
     nn.tsum(nn.mul(y, Tensor(g))).backward()
-    y_ref, d_kernel, d_input = _conv2d_oracle(x.data, k.data, stride, g)
+    y_ref, d_kernel, d_bias, d_input = _conv2d_oracle(x.data, k.data, b.data, stride, g)
     assert y.shape == y_ref.shape
     assert np.allclose(y.data, y_ref, rtol=0, atol=1e-12)
     assert np.allclose(k.grad, d_kernel, rtol=0, atol=1e-12)
     assert k.grad.flags["C_CONTIGUOUS"]  # as Adam's moments are
+    assert np.allclose(b.grad, d_bias, rtol=0, atol=1e-12)
     assert np.allclose(x.grad, d_input, rtol=0, atol=1e-12)
 
 
@@ -470,9 +566,12 @@ def test_embedding_gradient_matches_add_at(held):
     assert np.array_equal(w.grad[8:], prior[8:])
 
 
-def _conv2d_window_reference(x, k, stride, g):
-    """conv2d's output, kernel gradient and input gradient from np.pad and
-    sliding_window_view, with the same (kh, kw, C) columns and GEMMs."""
+def _conv2d_window_reference(x, k, b, stride, g):
+    """conv2d's output and kernel, bias and input gradients from np.pad and
+    sliding_window_view, with the same (kh, kw, C) columns and GEMMs: the
+    bias added as a separate node added it, the bias gradient reduced as that
+    node's _unbroadcast reduced it, and each tap added into a zeroed padded
+    input gradient that is cropped at the end."""
     n, h, w, c = x.shape
     c_out, _, kh, kw = k.shape
     ph, pw = kh // 2, kw // 2
@@ -484,16 +583,31 @@ def _conv2d_window_reference(x, k, stride, g):
         windows[:, :h_out, :w_out].transpose(0, 1, 2, 4, 5, 3)
     ).reshape(-1, kh * kw * c)
     k_flat = k.transpose(0, 2, 3, 1).reshape(c_out, -1)
-    y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out)
+    y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out) + b
     g_flat = g.reshape(-1, c_out)
     d_kernel = (g_flat.T @ cols).reshape(c_out, kh, kw, c).transpose(0, 3, 1, 2)
+    d_bias = g.sum(axis=0).sum(axis=0).sum(axis=0)
     dxp = np.zeros_like(xp)
     for i in range(kh):
         for j in range(kw):
             dxp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
                 g_flat @ k[:, :, i, j]
             ).reshape(n, h_out, w_out, c)
-    return y, d_kernel, dxp[:, ph : ph + h, pw : pw + w]
+    return y, d_kernel, d_bias, dxp[:, ph : ph + h, pw : pw + w]
+
+
+def _assert_conv2d_equals_window_reference(x_shape, k_shape, stride, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(x_shape).astype(dtype), requires_grad=True)
+    k = Tensor(rng.standard_normal(k_shape).astype(dtype), requires_grad=True)
+    b = Tensor(rng.standard_normal(k_shape[0]).astype(dtype), requires_grad=True)
+    y = nn.conv2d(x, k, b, stride=stride)
+    g = rng.standard_normal(y.shape).astype(dtype)
+    nn.tsum(nn.mul(y, Tensor(g))).backward()
+    reference = _conv2d_window_reference(x.data, k.data, b.data, stride, g)
+    for got, want in zip((y.data, k.grad, b.grad, x.grad), reference):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -514,13 +628,21 @@ def test_conv2d_equals_window_view_reference_bit_for_bit(
 ):
     # conv2d's window view is an unchecked as_strided: a wrong shape or
     # stride reads outside the padded buffer rather than raising
-    rng = np.random.default_rng(seed)
-    x = Tensor(rng.standard_normal((n, h, w, c)).astype(dtype), requires_grad=True)
-    k = Tensor(rng.standard_normal((c_out, c, kh, kw)).astype(dtype), requires_grad=True)
-    y = nn.conv2d(x, k, stride=stride)
-    g = rng.standard_normal(y.shape).astype(dtype)
-    nn.tsum(nn.mul(y, Tensor(g))).backward()
-    y_ref, d_kernel, d_input = _conv2d_window_reference(x.data, k.data, stride, g)
-    for got, want in ((y.data, y_ref), (k.grad, d_kernel), (x.grad, d_input)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    _assert_conv2d_equals_window_reference((n, h, w, c), (c_out, c, kh, kw), stride, dtype, seed)
+
+
+# Two shapes whose edge taps read padding: a 5x3 kernel at stride 3 on 7x8,
+# where the first and last output rows' outer taps fall off the input, and
+# the same kernel on a 2-row input, where three of its five tap rows read
+# nothing but padding at every output.
+PADDING_TAP_LAYERS = {
+    "5x3-stride3": ((2, 7, 8, 3), (4, 3, 5, 3), 3),
+    "5x3-two-rows": ((2, 2, 5, 3), (4, 3, 5, 3), 3),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layer", sorted(MODEL_CONV_LAYERS) + sorted(PADDING_TAP_LAYERS))
+def test_conv2d_unpadded_input_gradient_equals_padded_buffer_bit_for_bit(layer, dtype):
+    x_shape, k_shape, stride = {**MODEL_CONV_LAYERS, **PADDING_TAP_LAYERS}[layer]
+    _assert_conv2d_equals_window_reference(x_shape, k_shape, stride, dtype, seed=12)

@@ -2,6 +2,8 @@ import io
 import json
 import os
 import struct
+import sys
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -182,6 +184,43 @@ class TestTrainStep:
         model = DualEncoder(cfg, seed=3)
         values = train_step(model, *random_batch(cfg, seed=3), TrainConfig())
         assert len(values) == 3 and all(np.isfinite(v) for v in values)
+
+    def test_default_size_step_allocates_at_most_60_mib(self):
+        # tracemalloc peak of one step at the default ModelConfig and batch 32:
+        # 75.1 MiB while each conv block added its bias in a separate node and
+        # backward copied every gradient it handed on, 54.9 MiB since
+        cfg = ModelConfig(vocab_size=len(VOCAB))
+        model = DualEncoder(cfg, seed=0)
+        batch = random_batch(cfg, batch=32, seed=0)
+        tracemalloc.start()
+        try:
+            train_step(model, *batch, TrainConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts page faults through getrusage")
+def test_steps_after_the_first_fault_in_no_fresh_pages():
+    # each default-size step frees and re-allocates ~55 MiB; with glibc's
+    # default trimming the heap top went back to the OS after every step and
+    # came back as ~2,400 minor page faults per step
+    import resource
+
+    from oavl.training import _keep_freed_heap
+
+    _keep_freed_heap()
+    cfg = ModelConfig(vocab_size=len(VOCAB))
+    model = DualEncoder(cfg, seed=0)
+    batch = random_batch(cfg, batch=32, seed=0)
+    for _ in range(3):
+        train_step(model, *batch, TrainConfig())
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        train_step(model, *batch, TrainConfig())
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 3 * 300, faults
 
 
 class TestConfig:
@@ -462,3 +501,26 @@ def test_config_json_past_the_parser_limits_is_checkpoint_error(tmp_path, checkp
     path.write_bytes(_checkpoint_file(rows))
     with pytest.raises(CheckpointError, match="malformed checkpoint config"):
         load_checkpoint(str(path))
+
+
+def test_config_declaring_a_huge_layer_is_rejected_before_allocation(tmp_path, checkpoint_rows):
+    # the stored shapes are checked against the config before the model is
+    # built; building it first would ask numpy for a 2**40-row embedding table
+    meta = next(payload for name, _dtype, _dims, payload in checkpoint_rows if name == META)
+    config = json.loads(meta)
+    config["model"]["vocab_size"] = 2**40
+    meta = json.dumps(config).encode("utf-8")
+    rows = [
+        (name, dtype, (len(meta),), meta) if name == META else (name, dtype, dims, payload)
+        for name, dtype, dims, payload in checkpoint_rows
+    ]
+    path = tmp_path / "huge-vocab.bin"
+    path.write_bytes(_checkpoint_file(rows))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="'text.token_embedding' has unexpected"):
+            load_checkpoint(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
