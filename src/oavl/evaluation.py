@@ -97,6 +97,9 @@ def embed_texts(
     model: DualEncoder, vocab: Vocabulary, texts: Sequence[str], project: bool = True
 ) -> np.ndarray:
     """Text embeddings: projected [N, proj_dim], or unprojected [N, embed_dim]."""
+    if not texts:
+        width = model.cfg.proj_dim if project else model.cfg.embed_dim
+        return np.zeros((0, width), model.dtype)
     tokens = np.stack([tokenize(t, vocab, model.cfg.max_len) for t in texts])
     chunks = []
     for s in range(0, len(tokens), EMBED_BATCH):
@@ -194,25 +197,39 @@ def bleu4_pairs(
 ) -> List[float]:
     """``bleu4(pool_words[c], pool_words[r])`` for each pair (c, r), bit for bit.
 
-    Each order's n-grams are interned once over the pool into a count
-    matrix [pool, distinct n-grams], so the clipped counts of every pair
-    come from one element-wise minimum; the scores then follow bleu4's own
-    log/exp sequence.
+    Words are mapped to ids once over the pool. Each order's n-grams are then
+    interned in numpy: an n-gram's key is its (n-1)-gram prefix's id times
+    the word count plus its last word's id (below tokens * words, so it
+    fits int64), and np.unique numbers the keys. One bincount gives the
+    count matrix [pool, distinct n-grams], so the clipped counts of every
+    pair come from one element-wise minimum; the scores then follow bleu4's
+    own log/exp sequence.
     """
     if any(not pool_words[c] or not pool_words[r] for c, r in pairs):
         raise ValueError("empty candidate or reference")
     cand = np.asarray([c for c, _ in pairs], dtype=np.intp)
     ref = np.asarray([r for _, r in pairs], dtype=np.intp)
+    words: Dict[str, int] = {}
+    ids = np.asarray([words.setdefault(w, len(words)) for ws in pool_words for w in ws], np.int64)
+    lengths = np.asarray([len(ws) for ws in pool_words], np.intp)
+    rows = np.repeat(np.arange(len(pool_words)), lengths)
+    # tokens from each position to the end of its caption, itself included
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
+    starts = np.arange(len(ids))  # positions that begin an n-gram
+    grams, width = ids, len(words)  # each n-gram's id, and how many ids there are
     clipped = []
     for n in range(1, 5):
-        index: Dict[Tuple[str, ...], int] = {}
-        rows = [
-            [index.setdefault(tuple(w[i : i + n]), len(index)) for i in range(len(w) + 1 - n)]
-            for w in pool_words
-        ]
-        width = len(index)
-        flat = np.asarray([row * width + g for row, ids in enumerate(rows) for g in ids], np.intp)
-        counts = np.bincount(flat, minlength=len(rows) * width).reshape(len(rows), width)
+        if n > 1:
+            inside = left[starts] >= n
+            starts = starts[inside]
+            keys = grams[inside] * len(words) + ids[starts + n - 1]
+            distinct, grams = np.unique(keys, return_inverse=True)
+            width = len(distinct)
+        flat = rows[starts] * width + grams
+        # one caption's count of one n-gram fits int32, which gathers and
+        # reduces several times faster than int64; the sum is taken in int64
+        counts = np.bincount(flat, minlength=len(pool_words) * width).astype(np.int32)
+        counts = counts.reshape(len(pool_words), width)
         clipped.append(np.minimum(counts[cand], counts[ref]).sum(axis=1).tolist())
     return [
         _bleu4_from_counts(hits, len(pool_words[c]), len(pool_words[r]))
@@ -303,15 +320,19 @@ def _resize_taps(src: int, dst: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _bilinear_resize(values: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Bilinear upsample with half-pixel centers."""
+    """Bilinear upsample with half-pixel centers.
+
+    Separable: each source row is interpolated along x once, then output
+    rows are interpolated along y from those. Every output pixel gets the
+    same products, summed in the same order, as the four-corner formula
+    top * (1 - wy) + bottom * wy with top and bottom interpolated along x.
+    """
     src_h, src_w = values.shape
     y0, y1, wy = _resize_taps(src_h, height)
     x0, x1, wx = _resize_taps(src_w, width)
+    rows = values[:, x0] * (1 - wx) + values[:, x1] * wx  # [src_h, width]
     wy = wy[:, None]
-    wx = wx[None, :]
-    top = values[np.ix_(y0, x0)] * (1 - wx) + values[np.ix_(y0, x1)] * wx
-    bottom = values[np.ix_(y1, x0)] * (1 - wx) + values[np.ix_(y1, x1)] * wx
-    return top * (1 - wy) + bottom * wy
+    return rows[y0] * (1 - wy) + rows[y1] * wy
 
 
 def grad_cam(
@@ -330,6 +351,8 @@ def grad_cam(
     it runs the pooling and projection head only, never the convolutions.
     """
     words = split_text(prompt)
+    if not words:
+        raise ValueError(f"prompt {prompt!r} has no tokens")
     unknown = [w for w in words if vocab.index(w) == vocab.unk_index]
     if unknown:
         raise ValueError(f"prompt tokenization failure: unknown token {unknown[0]!r}")
@@ -339,7 +362,7 @@ def grad_cam(
         )
     prompt_vec = embed_texts(model, vocab, [prompt])[0]
 
-    acts = nn.Tensor(model.image_features(image[None])[0].data, requires_grad=True)
+    acts = nn.Tensor(model.image_features(image[None]).data, requires_grad=True)
     image_proj = model.project(nn.mean_pool(acts), "image")
     target = nn.tsum(nn.mul(image_proj, nn.Tensor(prompt_vec[None, :].astype(model.dtype))))
     model.zero_grad()

@@ -145,8 +145,8 @@ class DualEncoder:
         weight, bias = self._params[name + ".weight"], self._params[name + ".bias"]
         return nn.relu(nn.conv2d(x, weight, bias, stride=stride))
 
-    def image_features(self, images: np.ndarray) -> Tuple[Tensor, Tensor]:
-        """Final conv-stage activations [N, h, w, C3] and pooled embedding [N, C3]."""
+    def image_features(self, images: np.ndarray) -> Tensor:
+        """Final conv-stage activations [N, h, w, C3] of [N, H, W] images."""
         arr = np.asarray(images, dtype=self.dtype)
         if arr.ndim != 3:
             raise nn.ShapeError("expected images of shape [N, H, W]")
@@ -158,14 +158,11 @@ class DualEncoder:
         x = Tensor(arr[..., None])  # one channel, channels-last
         x = self._conv_block(x, "image.conv1", stride=2)
         x = self._conv_block(x, "image.conv2", stride=2)
-        acts = self._conv_block(x, "image.conv3", stride=2)
-        pooled = nn.mean_pool(acts)
-        return acts, pooled
+        return self._conv_block(x, "image.conv3", stride=2)
 
     def encode_image(self, images: np.ndarray) -> Tensor:
         """Unprojected image embeddings [N, C3] of [N, H, W] images."""
-        _acts, pooled = self.image_features(images)
-        return pooled
+        return nn.mean_pool(self.image_features(images))
 
     def encode_text(self, tokens: np.ndarray) -> Tensor:
         """Unprojected text embeddings [N, D]; mean pool skips <pad> positions."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeError(ValueError):
@@ -358,14 +357,17 @@ def conv2d(x: TensorLike, kernel: TensorLike, bias: TensorLike, stride: int = 1)
     # im2col rows in (kh, kw, C) order, so the copy moves contiguous runs of
     # C channels. The window view [n, h_out, w_out, kh, kw, C] is built
     # directly: its last window ends at row (h_out - 1) * stride + kh - 1,
-    # which the h_out formula keeps inside the padded rows (columns alike).
+    # which the h_out formula keeps inside the padded rows (columns alike),
+    # and np.ndarray checks that extent against the buffer.
     sn, sh, sw, sc = xp.strides
-    windows = as_strided(
-        xp,
-        shape=(n, h_out, w_out, kh, kw, c),
+    windows = np.ndarray(
+        (n, h_out, w_out, kh, kw, c),
+        xp.dtype,
+        buffer=xp,
+        offset=0,
         strides=(sn, sh * stride, sw * stride, sh, sw, sc),
-        writeable=False,
     )
+    windows.flags.writeable = False
     cols = np.ascontiguousarray(windows).reshape(n * h_out * w_out, kh * kw * c)
     k_flat = kt.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c)
     y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out)
@@ -488,18 +490,33 @@ def adam_step(
     eps: float = 1e-8,
     weight_decay: float = 1e-3,
 ) -> None:
-    """Decoupled weight decay (p -= lr*wd*p), then bias-corrected Adam."""
+    """Decoupled weight decay (p -= lr*wd*p), then bias-corrected Adam.
+
+    m and v are updated in place, through two scratch arrays; each element
+    gets the products and sums of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
+    and p -= lr * m_hat / (sqrt(v_hat) + eps) in the same order, so the
+    bits equal the out-of-place formula's.
+    """
     g = p.grad
     if g is None:
         raise MissingGradientError("adam_step called before backward populated the gradient")
     if weight_decay:
         p.data -= lr * weight_decay * p.data
     p.t += 1
-    p.m = beta1 * p.m + (1.0 - beta1) * g
-    p.v = beta2 * p.v + (1.0 - beta2) * (g * g)
-    m_hat = p.m / (1.0 - beta1**p.t)
-    v_hat = p.v / (1.0 - beta2**p.t)
-    p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    step = np.multiply(g, 1.0 - beta1, out=np.empty_like(p.m))
+    p.m *= beta1
+    p.m += step
+    np.multiply(g, g, out=step)
+    step *= 1.0 - beta2
+    p.v *= beta2
+    p.v += step
+    denom = np.divide(p.v, 1.0 - beta2**p.t, out=np.empty_like(p.v))  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(p.m, 1.0 - beta1**p.t, out=step)  # m_hat
+    step *= lr
+    step /= denom
+    p.data -= step
 
 
 # --- gradient checking -------------------------------------------------------

@@ -411,6 +411,24 @@ class TestEvalAndSaliency:
         assert f"max_len {max_len}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("prompt", ["", "   "])
+    def test_saliency_prompt_without_tokens_is_validation_error(
+        self, dataset_dir, trained, tmp_path, capsys, prompt
+    ):
+        ckpt, _ = trained
+        record_id = read_manifest(str(dataset_dir / "manifest.jsonl")).entries[0].record.id
+        out = tmp_path / "sal"
+        code = main(
+            [
+                "saliency", "--checkpoint", str(ckpt),
+                "--manifest", str(dataset_dir / "manifest.jsonl"),
+                "--id", record_id, "--prompt", prompt, "--out", str(out),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert f"prompt {prompt!r} has no tokens" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_checkpoint_is_io_error(self, dataset_dir, trained, tmp_path):
         ckpt, _ = trained
         bad = tmp_path / "bad.bin"

@@ -14,6 +14,7 @@ from oavl.evaluation import (
     SaliencyMap,
     ZeroShotResult,
     _bilinear_resize,
+    _resize_taps,
     bleu4,
     bleu4_pairs,
     class_prompt_vectors,
@@ -184,6 +185,13 @@ class TestEmbed:
         np.testing.assert_allclose(batched, single, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("project", [True, False])
+    def test_embed_texts_of_no_texts_is_empty(self, project):
+        model = small_model(seed=5)
+        width = model.cfg.proj_dim if project else model.cfg.embed_dim
+        out = embed_texts(model, VOCAB, [], project=project)
+        assert out.shape == (0, width) and out.dtype == model.dtype
+
+    @pytest.mark.parametrize("project", [True, False])
     def test_embed_texts_matches_one_at_a_time(self, project):
         model = small_model(seed=5)
         rng = make_rng(17)
@@ -304,11 +312,55 @@ class TestRetrievalEval:
         assert result.random_baseline_bleu4 == float(np.mean(baseline))
 
 
+def _bilinear_resize_reference(values, height, width):
+    """The four-corner bilinear upsample: four [H, W] gathers through np.ix_."""
+    src_h, src_w = values.shape
+    y0, y1, wy = _resize_taps(src_h, height)
+    x0, x1, wx = _resize_taps(src_w, width)
+    wy = wy[:, None]
+    wx = wx[None, :]
+    top = values[np.ix_(y0, x0)] * (1 - wx) + values[np.ix_(y0, x1)] * wx
+    bottom = values[np.ix_(y1, x0)] * (1 - wx) + values[np.ix_(y1, x1)] * wx
+    return top * (1 - wy) + bottom * wy
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestBilinearResize:
+    """The separable resize against the four-corner reference, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_reference_for_every_source_and_target_size(self, dtype):
+        rng = np.random.default_rng(12)
+        for src in range(1, 13):
+            for dst in range(1, 81):
+                # every size on each axis, paired with its complement on the other
+                values = rng.standard_normal((src, 13 - src)).astype(dtype)
+                values[rng.random(values.shape) < 0.2] = -0.0
+                _assert_same_bits(
+                    _bilinear_resize(values, dst, 81 - dst),
+                    _bilinear_resize_reference(values, dst, 81 - dst),
+                )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fill", [0.0, -0.0])
+    def test_signed_zero_maps_equal_reference(self, dtype, fill):
+        values = np.full((8, 8), fill, dtype)
+        for height, width in ((64, 64), (1, 80), (80, 1), (8, 8)):
+            _assert_same_bits(
+                _bilinear_resize(values, height, width),
+                _bilinear_resize_reference(values, height, width),
+            )
+
+
 def full_graph_grad_cam(model, image, prompt):
     """grad_cam's map with the backward sweep run through the whole image encoder."""
     prompt_vec = embed_texts(model, VOCAB, [prompt])[0]
-    acts, pooled = model.image_features(image[None])
-    image_proj = model.project(pooled, "image")
+    acts = model.image_features(image[None])
+    image_proj = model.project(nn.mean_pool(acts), "image")
     target = nn.tsum(nn.mul(image_proj, Tensor(prompt_vec[None, :].astype(model.dtype))))
     model.zero_grad()
     target.backward()
@@ -375,6 +427,13 @@ class TestGradCam:
         saliency = grad_cam(model, np.zeros((32, 32), np.float32), "severe osteoarthritis.", VOCAB)
         assert np.isfinite(saliency.values).all()
         assert not saliency.values.any()
+
+    @pytest.mark.parametrize("prompt", ["", "   "])
+    def test_prompt_without_tokens_rejected(self, prompt):
+        model = small_model(seed=7)
+        image = np.random.default_rng(8).random((32, 32)).astype(np.float32)
+        with pytest.raises(ValueError, match=f"prompt {prompt!r} has no tokens"):
+            grad_cam(model, image, prompt, VOCAB)
 
     def test_unknown_prompt_token_rejected(self):
         model = small_model(seed=7)

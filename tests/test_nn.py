@@ -223,6 +223,31 @@ class TestAdam:
         assert p.data.dtype == np.float32
         assert p.m.dtype == np.float32 and p.v.dtype == np.float32
 
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_update_matches_out_of_place_formula(self, shape, dtype):
+        """200 steps against the formula written with fresh arrays, bit for bit;
+        the moment buffers are the same objects throughout."""
+        rng = np.random.default_rng(31)
+        p = Parameter(rng.standard_normal(shape).astype(dtype))
+        data, m, v = p.data.copy(), p.m.copy(), p.v.copy()
+        m_buffer, v_buffer = p.m, p.v
+        lr, beta1, beta2, eps, decay = 3e-3, 0.9, 0.999, 1e-8, 1e-3
+        for t in range(1, 201):
+            g = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 2)).astype(dtype)
+            p.grad = g
+            adam_step(p, lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=decay)
+            data = data - lr * decay * data
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * (g * g)
+            m_hat = m / (1.0 - beta1**t)
+            v_hat = v / (1.0 - beta2**t)
+            data = data - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for got, want in ((p.data, data), (p.m, m), (p.v, v)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert p.t == 200
+        assert p.m is m_buffer and p.v is v_buffer
+
 
 # --- finite differences -------------------------------------------------------
 
