@@ -317,12 +317,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_IO
     except Exception as exc:  # noqa: BLE001 - map remaining failures to exit codes
         from .synth import ManifestError, PgmError
-        from .training import CheckpointError
+        from .training import CheckpointError, TrainingError
 
         if isinstance(exc, (ManifestError, PgmError, CheckpointError)):
             print(f"i/o error: {exc}", file=sys.stderr)
             return EXIT_IO
-        if isinstance(exc, (ValueError, IndexError, KeyError)):
+        if isinstance(exc, (ValueError, IndexError, KeyError, TrainingError)):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         raise

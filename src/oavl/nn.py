@@ -1,12 +1,12 @@
 """Dense-tensor reverse-mode autodiff with exactly the primitives the model needs.
 
 Tensors wrap numpy arrays (float32 for training, float64 for gradient
-checking); each op builds the graph with a closure that routes the output
-gradient back to its parents. A Parameter is a leaf Tensor that also holds
-its Adam state, so ops take it directly. Spatial data is channels-last
-[N, H, W, C]: images as they are, captions as one-row images [N, 1, L, D],
-so one conv2d serves both encoders. A finite-difference checker validates
-every backward rule.
+checking). Each op computes its value and states one gradient rule per
+parent; ``_op`` builds every graph node from them. A Parameter is a leaf
+Tensor that also holds its Adam state, so ops take it directly. Spatial
+data is channels-last [N, H, W, C]: images as they are, captions as one-row
+images [N, 1, L, D], so one conv2d serves both encoders. A finite-difference
+checker validates every backward rule.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _pair_tensors(a: TensorLike, b: TensorLike) -> Tuple[Tensor, Tensor]:
     return as_tensor(a), as_tensor(b)
 
 
-def _accumulate(t: Tensor, g: np.ndarray, held: bool = False) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, held: bool) -> None:
     """Add g into t.grad; the first arrival becomes t.grad in C order.
 
     A g the caller has just computed is kept as it is when already C-ordered.
@@ -133,12 +133,31 @@ def _accumulate(t: Tensor, g: np.ndarray, held: bool = False) -> None:
     parent may also receive) is copied first, so no two tensors share a
     gradient buffer. C order keeps Adam's elementwise updates fast.
     """
-    if not t.requires_grad:
-        return
     if t.grad is None:
         t.grad = np.array(g, dtype=t.data.dtype, copy=True if held else None, order="C")
     else:
         t.grad += g
+
+
+def _op(
+    value: np.ndarray,
+    parents: Tuple[Tensor, ...],
+    grads: Tuple[Callable[[np.ndarray], np.ndarray], ...],
+    held: bool = False,
+) -> Tensor:
+    """The one builder of graph nodes: ``value`` computed from ``parents``.
+
+    ``grads[i]`` maps the output gradient to parent i's gradient. Backward
+    calls it only for parents that need a gradient, in parent order, and
+    passes ``held`` to ``_accumulate`` for every result.
+    """
+
+    def backward(g):
+        for parent, grad in zip(parents, grads):
+            if parent.requires_grad:
+                _accumulate(parent, grad(g), held)
+
+    return Tensor(value, parents, backward)
 
 
 def _unbroadcast(g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -153,44 +172,24 @@ def _unbroadcast(g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 def add(a: TensorLike, b: TensorLike) -> Tensor:
     at, bt = _pair_tensors(a, b)
-    out = Tensor(at.data + bt.data, parents=(at, bt))
-
-    def backward(g):
-        if at.requires_grad:
-            _accumulate(at, _unbroadcast(g, at.shape), held=True)
-        if bt.requires_grad:
-            _accumulate(bt, _unbroadcast(g, bt.shape), held=True)
-
-    out._backward = backward
-    return out
+    grads = (lambda g: _unbroadcast(g, at.shape), lambda g: _unbroadcast(g, bt.shape))
+    return _op(at.data + bt.data, (at, bt), grads, held=True)
 
 
 def mul(a: TensorLike, b: TensorLike) -> Tensor:
     at, bt = _pair_tensors(a, b)
-    out = Tensor(at.data * bt.data, parents=(at, bt))
-
-    def backward(g):
-        if at.requires_grad:
-            _accumulate(at, _unbroadcast(g * bt.data, at.shape))
-        if bt.requires_grad:
-            _accumulate(bt, _unbroadcast(g * at.data, bt.shape))
-
-    out._backward = backward
-    return out
+    return _op(at.data * bt.data, (at, bt), (
+        lambda g: _unbroadcast(g * bt.data, at.shape),
+        lambda g: _unbroadcast(g * at.data, bt.shape),
+    ))
 
 
 def div(a: TensorLike, b: TensorLike) -> Tensor:
     at, bt = _pair_tensors(a, b)
-    out = Tensor(at.data / bt.data, parents=(at, bt))
-
-    def backward(g):
-        if at.requires_grad:
-            _accumulate(at, _unbroadcast(g / bt.data, at.shape))
-        if bt.requires_grad:
-            _accumulate(bt, _unbroadcast(-g * at.data / (bt.data * bt.data), bt.shape))
-
-    out._backward = backward
-    return out
+    return _op(at.data / bt.data, (at, bt), (
+        lambda g: _unbroadcast(g / bt.data, at.shape),
+        lambda g: _unbroadcast(-g * at.data / (bt.data * bt.data), bt.shape),
+    ))
 
 
 def matmul(a: TensorLike, b: TensorLike) -> Tensor:
@@ -199,82 +198,48 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
         raise ShapeError("matmul expects 2-D operands")
     if at.shape[1] != bt.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {at.shape} @ {bt.shape}")
-    out = Tensor(at.data @ bt.data, parents=(at, bt))
-
-    def backward(g):
-        if at.requires_grad:
-            _accumulate(at, g @ bt.data.T)
-        if bt.requires_grad:
-            _accumulate(bt, at.data.T @ g)
-
-    out._backward = backward
-    return out
+    return _op(at.data @ bt.data, (at, bt), (lambda g: g @ bt.data.T, lambda g: at.data.T @ g))
 
 
 def transpose(a: TensorLike) -> Tensor:
     """Reverse the axes: the matrix transpose of a 2-D tensor."""
     at = as_tensor(a)
-    out = Tensor(at.data.T, parents=(at,))
-
-    def backward(g):
-        _accumulate(at, g.T, held=True)
-
-    out._backward = backward
-    return out
+    return _op(at.data.T, (at,), (lambda g: g.T,), held=True)
 
 
 def relu(a: TensorLike) -> Tensor:
     at = as_tensor(a)
     mask = at.data > 0
     _record_branch(mask)
-    out = Tensor(np.maximum(at.data, 0), parents=(at,))
-
-    def backward(g):
-        _accumulate(at, g * mask)
-
-    out._backward = backward
-    return out
+    return _op(np.maximum(at.data, 0), (at,), (lambda g: g * mask,))
 
 
 def exp(a: TensorLike) -> Tensor:
     at = as_tensor(a)
     value = np.exp(at.data)
-    out = Tensor(value, parents=(at,))
-
-    def backward(g):
-        _accumulate(at, g * value)
-
-    out._backward = backward
-    return out
+    return _op(value, (at,), (lambda g: g * value,))
 
 
 def clamp(a: TensorLike, lo: float, hi: float) -> Tensor:
     at = as_tensor(a)
     mask = (at.data >= lo) & (at.data <= hi)
     _record_branch(mask)
-    out = Tensor(np.clip(at.data, lo, hi), parents=(at,))
-
-    def backward(g):
-        _accumulate(at, np.where(mask, g, 0.0).astype(at.dtype, copy=False))
-
-    out._backward = backward
-    return out
+    value = np.clip(at.data, lo, hi)
+    return _op(value, (at,), (lambda g: np.where(mask, g, 0.0).astype(at.dtype, copy=False),))
 
 
-def tsum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a: TensorLike, axis=None) -> Tensor:
     at = as_tensor(a)
-    out = Tensor(at.data.sum(axis=axis, keepdims=keepdims), parents=(at,))
 
-    def backward(g):
-        if axis is not None and not keepdims:
+    def d_a(g):
+        if axis is not None:
             g = np.expand_dims(g, axis)
-        _accumulate(at, np.broadcast_to(g, at.shape), held=True)
+        return np.broadcast_to(g, at.shape)
 
-    out._backward = backward
-    return out
+    return _op(at.data.sum(axis=axis), (at,), (d_a,), held=True)
 
 
-def tmean(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a: TensorLike, axis=None) -> Tensor:
     at = as_tensor(a)
     if axis is None:
         count = at.data.size
@@ -283,8 +248,7 @@ def tmean(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
         count = 1
         for ax in axes:
             count *= at.shape[ax]
-    out = tsum(at, axis=axis, keepdims=keepdims)
-    return mul(out, 1.0 / count)
+    return mul(tsum(at, axis=axis), 1.0 / count)
 
 
 def mean_pool(a: TensorLike) -> Tensor:
@@ -299,9 +263,8 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     idx = np.asarray(indices)
     if idx.size and (idx.min() < 0 or idx.max() >= weight.shape[0]):
         raise IndexError("embedding index out of range")
-    out = Tensor(weight.data[idx], parents=(weight,))
 
-    def backward(g):
+    def d_weight(g):
         # sorted by index, each row's gradients form one contiguous run that
         # reduceat sums, where np.add.at would scatter them one at a time
         flat = idx.reshape(-1)
@@ -313,10 +276,9 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
         grad = np.zeros_like(weight.data)
         rows = g.reshape(-1, weight.shape[1])[order]
         grad[sorted_idx[starts]] = np.add.reduceat(rows, starts, axis=0)
-        _accumulate(weight, grad)
+        return grad
 
-    out._backward = backward
-    return out
+    return _op(weight.data[idx], (weight,), (d_weight,))
 
 
 def _tap_slices(offset: int, stride: int, n_out: int, size: int) -> Optional[Tuple[slice, slice]]:
@@ -372,32 +334,28 @@ def conv2d(x: TensorLike, kernel: TensorLike, bias: TensorLike, stride: int = 1)
     k_flat = kt.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c)
     y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out)
     y += bt.data
-    out = Tensor(y, parents=(xt, kt, bt))
 
-    def backward(g):
+    def d_x(g):
+        # one GEMM per kernel tap; the outputs whose tap reads inside the
+        # input add into its gradient, taps in (i, j) order from zero
         g_flat = g.reshape(n * h_out * w_out, c_out)
-        if bt.requires_grad:
-            _accumulate(bt, _unbroadcast(g, bt.shape))
-        if kt.requires_grad:
-            d_kernel = (g_flat.T @ cols).reshape(c_out, kh, kw, c)
-            _accumulate(kt, d_kernel.transpose(0, 3, 1, 2))
-        if xt.requires_grad:
-            # one GEMM per kernel tap; the outputs whose tap reads inside the
-            # input add into its gradient, taps in (i, j) order from zero
-            dx = np.zeros((n, h, w, c), dtype=xt.dtype)
-            row_taps = [_tap_slices(i - ph, stride, h_out, h) for i in range(kh)]
-            col_taps = [_tap_slices(j - pw, stride, w_out, w) for j in range(kw)]
-            for i, rows in enumerate(row_taps):
-                for j, cols_ in enumerate(col_taps):
-                    if rows is None or cols_ is None:
-                        continue
-                    (out_rows, in_rows), (out_cols, in_cols) = rows, cols_
-                    tap = (g_flat @ kt.data[:, :, i, j]).reshape(n, h_out, w_out, c)
-                    dx[:, in_rows, in_cols] += tap[:, out_rows, out_cols]
-            _accumulate(xt, dx)
+        dx = np.zeros((n, h, w, c), dtype=xt.dtype)
+        row_taps = [_tap_slices(i - ph, stride, h_out, h) for i in range(kh)]
+        col_taps = [_tap_slices(j - pw, stride, w_out, w) for j in range(kw)]
+        for i, rows in enumerate(row_taps):
+            for j, cols_ in enumerate(col_taps):
+                if rows is None or cols_ is None:
+                    continue
+                (out_rows, in_rows), (out_cols, in_cols) = rows, cols_
+                tap = (g_flat @ kt.data[:, :, i, j]).reshape(n, h_out, w_out, c)
+                dx[:, in_rows, in_cols] += tap[:, out_rows, out_cols]
+        return dx
 
-    out._backward = backward
-    return out
+    def d_kernel(g):
+        g_flat = g.reshape(n * h_out * w_out, c_out)
+        return (g_flat.T @ cols).reshape(c_out, kh, kw, c).transpose(0, 3, 1, 2)
+
+    return _op(y, (xt, kt, bt), (d_x, d_kernel, lambda g: _unbroadcast(g, bt.shape)))
 
 
 def linear(x: TensorLike, weight: TensorLike, bias: TensorLike) -> Tensor:
@@ -414,16 +372,14 @@ def l2_normalize(v: TensorLike, eps: float = 1e-8) -> Tensor:
     norm = np.sqrt((vt.data * vt.data).sum(axis=-1, keepdims=True))
     denom = norm + eps
     value = vt.data / denom
-    out = Tensor(value.astype(vt.dtype, copy=False), parents=(vt,))
 
-    def backward(g):
+    def d_v(g):
         scale = np.maximum(norm, np.finfo(vt.data.dtype).tiny) * denom * denom
         inner = (g * vt.data).sum(axis=-1, keepdims=True)
         # an all-zero row takes the limit g / denom; its scale underflows to 0
-        _accumulate(vt, g / denom - vt.data * inner / np.where(norm > 0, scale, 1.0))
+        return g / denom - vt.data * inner / np.where(norm > 0, scale, 1.0)
 
-    out._backward = backward
-    return out
+    return _op(value.astype(vt.dtype, copy=False), (vt,), (d_v,))
 
 
 def softmax_cross_entropy(logits: TensorLike, targets: np.ndarray) -> Tensor:
@@ -450,17 +406,14 @@ def softmax_cross_entropy(logits: TensorLike, targets: np.ndarray) -> Tensor:
     rest[rows, max_idx] = 0.0
     log_z = np.log1p(rest.sum(axis=1))  # log of sum(exp(shifted)), max term split off
     losses = log_z - shifted[rows, tg]
-    out = Tensor(np.asarray(losses.mean(), dtype=lt.dtype), parents=(lt,))
-
     softmax = exp_shifted / exp_shifted.sum(axis=1, keepdims=True)
 
-    def backward(g):
+    def d_logits(g):
         grad = softmax.copy()
         grad[rows, tg] -= 1.0
-        _accumulate(lt, (grad * (g / n)).astype(lt.dtype, copy=False))
+        return (grad * (g / n)).astype(lt.dtype, copy=False)
 
-    out._backward = backward
-    return out
+    return _op(np.asarray(losses.mean(), dtype=lt.dtype), (lt,), (d_logits,))
 
 
 # --- parameters and the optimizer -------------------------------------------

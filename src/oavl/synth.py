@@ -8,6 +8,7 @@ feature has an exact ground-truth pixel region for saliency scoring.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -60,10 +61,21 @@ class SynthConfig:
     def validate(self) -> "SynthConfig":
         if self.height < 32 or self.width < 32:
             raise SynthConfigError("height and width must be at least 32")
-        if self.noise_sigma < 0:
-            raise SynthConfigError("noise_sigma must be non-negative")
+        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
+            raise SynthConfigError(
+                f"noise_sigma must be finite and non-negative, got {self.noise_sigma!r}"
+            )
         if self.max_shift < 0:
             raise SynthConfigError("max_shift must be non-negative")
+        # the largest shift that keeps the femur and tibia bands inside the
+        # image, and the column between the medial and lateral halves too
+        geo = _geometry(self.height, self.width)
+        limit = min(geo.femur_top, self.height - 1 - geo.tibia_bottom, (self.width - 1) // 2)
+        if self.max_shift > limit:
+            raise SynthConfigError(
+                f"max_shift {self.max_shift} moves the knee out of a "
+                f"{self.height}x{self.width} image; at most {limit}"
+            )
         return self
 
 
@@ -92,6 +104,7 @@ class _Geometry:
         return self.tibia_bottom - self.attrition_step * attrition_grade
 
 
+@functools.lru_cache(maxsize=64)
 def _geometry(height: int, width: int) -> _Geometry:
     sy = height / 64.0
     sx = width / 64.0

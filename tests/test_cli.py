@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oavl
+from oavl import training
 from oavl.captions import split_text
 from oavl.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from oavl.synth import SynthConfig, read_manifest, read_pgm
@@ -165,6 +166,23 @@ class TestSynth:
             ["synth", "--n", "12", "--out-dir", str(tmp_path), "--ratios", "0.9,0.9,0.2"]
         )
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--noise-sigma", "inf"], "noise_sigma must be finite and non-negative, got inf"),
+            (["--noise-sigma", "nan"], "noise_sigma must be finite and non-negative, got nan"),
+            (["--max-shift", "100"], "max_shift 100 moves the knee out of a 64x64 image"),
+        ],
+        ids=["sigma-inf", "sigma-nan", "shift-100"],
+    )
+    def test_out_of_range_config_is_validation_error(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = main(["synth", "--n", "12", "--out-dir", str(out), *flags])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestCaptions:
@@ -321,6 +339,24 @@ class TestTrain:
         assert "12 distinct severity signatures" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_non_finite_loss_is_validation_error(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        def diverged(*args):
+            raise training.TrainingError("non-finite loss: total=nan, infonce=nan, negative=nan")
+
+        monkeypatch.setattr(training, "train_step", diverged)
+        ckpt = tmp_path / "x.bin"
+        code = main(
+            [
+                "train", "--manifest", str(dataset_dir / "manifest.jsonl"),
+                "--out", str(ckpt), "--epochs", "1", "--batch-size", "4", "--quiet",
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: non-finite loss: total=nan, infonce=nan, negative=nan\n"
+        )
+        assert not ckpt.exists()
+
 
 class TestEvalAndSaliency:
     def test_zero_shot_eval_writes_report(self, dataset_dir, trained, tmp_path):
@@ -370,6 +406,27 @@ class TestEvalAndSaliency:
         assert code == EXIT_VALIDATION
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_missing_split_is_validation_error(self, trained, tmp_path, capsys):
+        ckpt, _ = trained
+        data = tmp_path / "data"
+        code = main(
+            [
+                "synth", "--n", "12", "--out-dir", str(data), "--height", "32", "--width", "32",
+                "--ratios", "0.75,0,0.25",
+            ]
+        )
+        assert code == EXIT_OK
+        out = tmp_path / "eval"
+        code = main(
+            [
+                "eval", "zero-shot", "--checkpoint", str(ckpt),
+                "--manifest", str(data / "manifest.jsonl"), "--out", str(out), "--split", "val",
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "manifest has no 'val' split" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_without_task(self, trained, dataset_dir):
         assert main(["eval"]) == EXIT_VALIDATION

@@ -435,6 +435,36 @@ def test_unbroadcast_shapes():
     assert np.all(b.grad == 2)
 
 
+OPERAND_SHAPES = {
+    "add": ((3, 4), (4,)),
+    "mul": ((3, 4), (3, 1)),
+    "div": ((3, 4), (3, 4)),
+    "matmul": ((3, 4), (4, 2)),
+    "conv2d": ((2, 5, 5, 3), (4, 3, 3, 3), (4,)),
+}
+
+
+@pytest.mark.parametrize(
+    "op, constant", [(op, i) for op, shapes in OPERAND_SHAPES.items() for i in range(len(shapes))]
+)
+def test_a_constant_operand_gets_no_gradient(op, constant):
+    # the constant's gradient rule never runs, and the other operands get the
+    # same bits as when every operand needs a gradient
+    rng = np.random.default_rng(8)
+    data = [away_from_zero(rng.standard_normal(shape)) for shape in OPERAND_SHAPES[op]]
+
+    def gradients(skip):
+        operands = [Tensor(d.copy(), requires_grad=i != skip) for i, d in enumerate(data)]
+        weighted_sum(getattr(nn, op)(*operands), np.random.default_rng(0)).backward()
+        return [t.grad for t in operands]
+
+    every, partial = gradients(None), gradients(constant)
+    assert partial[constant] is None
+    for i, (a, b) in enumerate(zip(every, partial)):
+        if i != constant:
+            assert np.array_equal(a, b)
+
+
 # --- gradient buffers ---------------------------------------------------------
 
 

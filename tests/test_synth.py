@@ -96,6 +96,19 @@ class TestRenderGeometry:
         with pytest.raises(SynthConfigError):
             SynthConfig(noise_sigma=-1).validate()
 
+    @pytest.mark.parametrize("sigma", [float("inf"), float("-inf"), float("nan")])
+    def test_noise_sigma_must_be_finite(self, sigma):
+        with pytest.raises(SynthConfigError, match="noise_sigma must be finite"):
+            SynthConfig(noise_sigma=sigma).validate()
+
+    @pytest.mark.parametrize("height, width, limit", [(64, 64, 14), (32, 32, 7), (200, 32, 15)])
+    def test_max_shift_is_bounded_by_the_knee_layout(self, height, width, limit):
+        cfg = SynthConfig(height=height, width=width, max_shift=limit)
+        for seed in range(100):  # these seeds draw both extreme shifts on each axis
+            assert render_image(make_record(), cfg, seed=seed).shape == (height, width)
+        with pytest.raises(SynthConfigError, match=f"at most {limit}$"):
+            SynthConfig(height=height, width=width, max_shift=limit + 1).validate()
+
 
 class TestGroundTruth:
     def test_osteophyte_spur_footprint(self):
@@ -394,6 +407,14 @@ class TestGenerateDataset:
         img_a = (tmp_path / "a" / "images" / "rec-00000.pgm").read_bytes()
         img_b = (tmp_path / "b" / "images" / "rec-00000.pgm").read_bytes()
         assert img_a == img_b
+
+    @pytest.mark.parametrize(
+        "cfg", [SynthConfig(noise_sigma=float("inf")), SynthConfig(max_shift=100)]
+    )
+    def test_rejected_config_writes_nothing(self, cfg, tmp_path):
+        with pytest.raises(SynthConfigError):
+            generate_dataset(12, cfg, str(tmp_path / "x"))
+        assert not (tmp_path / "x").exists()
 
     def test_too_small_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least 10"):
