@@ -356,6 +356,9 @@ def grad_cam(
     unknown = [w for w in words if vocab.index(w) == vocab.unk_index]
     if unknown:
         raise ValueError(f"prompt tokenization failure: unknown token {unknown[0]!r}")
+    reserved = [w for w in words if vocab.index(w) == vocab.pad_index]
+    if reserved:
+        raise ValueError(f"prompt tokenization failure: reserved token {reserved[0]!r}")
     if len(words) > model.cfg.max_len:
         raise ValueError(
             f"prompt has {len(words)} tokens, more than the model's max_len {model.cfg.max_len}"

@@ -83,7 +83,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output."""
+        """Reverse-mode sweep from a scalar output.
+
+        A graph is swept once. Each node drops its closure, and with it the
+        arrays the closure saved, as soon as it has run; its .grad stays.
+        A sweep that would pass a node an earlier sweep has run raises
+        RuntimeError before any gradient is touched.
+        """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
         topo: List[Tensor] = []
@@ -101,10 +107,14 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
+        # every node with parents gets its closure from _op, until a sweep runs it
+        if any(node._parents and node._backward is None for node in topo):
+            raise RuntimeError("backward() through a graph an earlier sweep has run")
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node._backward = None
 
 
 TensorLike = Union[Tensor, np.ndarray, float, int]

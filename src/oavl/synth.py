@@ -348,6 +348,18 @@ def read_pgm(path: str) -> np.ndarray:
     Raises :class:`PgmError` naming the file for a bad or missing header line
     or a payload shorter than the header says.
     """
+    return pgm_to_float(read_pgm_samples(path))
+
+
+def pgm_to_float(samples: np.ndarray) -> np.ndarray:
+    """16-bit PGM samples of any shape as float32 in [0, 1]: sample / 65535."""
+    values = samples.astype(np.float32)
+    values /= np.float32(65535.0)
+    return values
+
+
+def read_pgm_samples(path: str) -> np.ndarray:
+    """The [H, W] 16-bit samples of a PGM, with every check of :func:`read_pgm`."""
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != b"P5":
@@ -366,8 +378,7 @@ def read_pgm(path: str) -> np.ndarray:
         if left < w * h * 2:
             raise PgmError(f"{path}: payload holds {left} bytes, header says {w * h * 2}")
         raw = fh.read(w * h * 2)
-    values = np.frombuffer(raw, dtype=">u2").reshape(h, w)
-    return (values.astype(np.float32) / 65535.0).astype(np.float32)
+    return np.frombuffer(raw, dtype=">u2").reshape(h, w)
 
 
 # --- manifest --------------------------------------------------------------

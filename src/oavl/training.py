@@ -33,7 +33,7 @@ from .captions import (
 from .model import DualEncoder, ModelConfig, parameter_shapes, similarity_matrix, total_loss
 from .scores import OaScoreRecord, perturb_negative, severity_signature
 from .seeding import make_rng
-from .synth import DatasetManifest, read_pgm, write_atomic
+from .synth import DatasetManifest, ManifestEntry, pgm_to_float, read_pgm_samples, write_atomic
 
 CHECKPOINT_MAGIC = b"OAVL0001"
 CHECKPOINT_VERSION = 1
@@ -173,11 +173,14 @@ def train_step(
 ) -> Tuple[float, float, float]:
     """One forward/backward/update; returns (total, infonce, negative) losses."""
     model.zero_grad()
-    image_u = model.encode_image(images)
-    text_u = model.encode_text(pos_tokens)
-    text_neg_u = model.encode_text(neg_tokens)
-    sim = similarity_matrix(model.project(image_u, "image"), model.project(text_u, "text"))
-    total, nce, neg = total_loss(sim, model.temperature(), text_u, text_neg_u, cfg.neg_weight)
+    # a diverging run overflows somewhere in the forward pass; the loss check
+    # below reports that once, in place of numpy's warning per op
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        image_u = model.encode_image(images)
+        text_u = model.encode_text(pos_tokens)
+        text_neg_u = model.encode_text(neg_tokens)
+        sim = similarity_matrix(model.project(image_u, "image"), model.project(text_u, "text"))
+        total, nce, neg = total_loss(sim, model.temperature(), text_u, text_neg_u, cfg.neg_weight)
     values = (float(total.data), float(nce.data), float(neg.data))
     if not all(np.isfinite(v) for v in values):
         raise TrainingError(
@@ -218,11 +221,30 @@ class TrainReport:
         }
 
 
-def _load_split_images(manifest: DatasetManifest, split: str) -> Dict[str, np.ndarray]:
-    images = {}
-    for entry in manifest.split(split):
-        images[entry.record.id] = read_pgm(manifest.resolve_image(entry))
-    return images
+def _load_samples(
+    manifest: DatasetManifest,
+    entries: Sequence[ManifestEntry],
+    shape: Optional[Tuple[int, ...]] = None,
+) -> np.ndarray:
+    """The entries' 16-bit PGM samples as one [N, H, W] array, row i from entries[i].
+
+    Every image must have ``shape`` (by default the first image's); another
+    size raises TrainingError naming the file, before any step runs.
+    """
+    samples = None if shape is None else np.empty((len(entries), *shape), dtype=np.uint16)
+    for row, entry in enumerate(entries):
+        path = manifest.resolve_image(entry)
+        image = read_pgm_samples(path)
+        if samples is None:
+            shape = image.shape
+            samples = np.empty((len(entries), *shape), dtype=np.uint16)
+        if image.shape != shape:
+            raise TrainingError(
+                f"{path}: image is {image.shape[1]}x{image.shape[0]}, "
+                f"the train split's first is {shape[1]}x{shape[0]}"
+            )
+        samples[row] = image
+    return samples
 
 
 def matched_negative_cosine(
@@ -306,15 +328,16 @@ def fit(
         )
     vocab = build_vocabulary()
 
-    train_images = _load_split_images(manifest, "train")
+    # images stay 16-bit samples until a batch needs them, half the bytes of float32
+    train_samples = _load_samples(manifest, train_entries)
+    shape = train_samples.shape[1:]
+    train_rows = {entry.record.id: row for row, entry in enumerate(train_entries)}
     val_entries = manifest.split("val")
-    val_images = _load_split_images(manifest, "val")
+    val_samples = _load_samples(manifest, val_entries, shape)
+    val_ids = [entry.record.id for entry in val_entries]
 
     if model_cfg is None:
-        sample = next(iter(train_images.values()))
-        model_cfg = ModelConfig(
-            height=sample.shape[0], width=sample.shape[1], vocab_size=len(vocab)
-        )
+        model_cfg = ModelConfig(height=shape[0], width=shape[1], vocab_size=len(vocab))
     model = DualEncoder(model_cfg, seed=cfg.seed)
 
     probe_records, probe_kinds, probe_negs = _probe_set(manifest, cfg)
@@ -328,7 +351,7 @@ def fit(
         sums = np.zeros(3)
         steps = 0
         for batch in plan:
-            images = np.stack([train_images[item.record.id] for item in batch])
+            images = pgm_to_float(train_samples[[train_rows[item.record.id] for item in batch]])
             pos, neg = _batch_tokens(batch, cfg, vocab, model_cfg.max_len, epoch)
             losses = train_step(model, images, pos, neg, cfg)
             sums += np.asarray(losses)
@@ -336,6 +359,7 @@ def fit(
         means = sums / max(steps, 1)
         val_acc = None
         if val_entries:
+            val_images = dict(zip(val_ids, pgm_to_float(val_samples)))
             val_acc = evaluation.zero_shot_eval(model, val_entries, val_images, vocab).accuracy
         report.epochs.append(
             EpochStats(

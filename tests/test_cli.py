@@ -58,14 +58,32 @@ def trained(tmp_path_factory, dataset_dir):
     return ckpt, report
 
 
+def subprocess_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(oavl.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def run_module(*args):
+    """``python -m oavl args`` in a fresh process."""
+    cmd = [sys.executable, "-m", "oavl", *args]
+    return subprocess.run(cmd, env=subprocess_env(), capture_output=True, text=True, timeout=300)
+
+
 def test_import_leaves_numpy_unloaded():
     # --threads must be pinned before numpy loads, so the CLI module may not load it
-    src = os.path.dirname(os.path.dirname(oavl.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, oavl.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True
+    )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_module("--help")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("usage: oavl ")
 
 
 def test_config_file_may_set_every_config_field(tmp_path):
@@ -357,6 +375,25 @@ class TestTrain:
         )
         assert not ckpt.exists()
 
+    def test_diverging_run_prints_one_error_line(self, tmp_path):
+        # in a process of its own, so numpy's warnings reach stderr as a user sees them
+        code = main(
+            [
+                "synth", "--n", "400", "--seed", "0", "--out-dir", str(tmp_path / "data"),
+                "--height", "32", "--width", "32",
+            ]
+        )
+        assert code == EXIT_OK
+        proc = run_module(
+            "train", "--manifest", str(tmp_path / "data" / "manifest.jsonl"),
+            "--out", str(tmp_path / "x.bin"), "--epochs", "3", "--batch-size", "8",
+            "--lr-text", "1e30", "--lr-projection", "1e30", "--quiet",
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stderr.startswith("error: non-finite loss: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not (tmp_path / "x.bin").exists()
+
 
 class TestEvalAndSaliency:
     def test_zero_shot_eval_writes_report(self, dataset_dir, trained, tmp_path):
@@ -484,6 +521,23 @@ class TestEvalAndSaliency:
         )
         assert code == EXIT_VALIDATION
         assert f"prompt {prompt!r} has no tokens" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_saliency_prompt_with_pad_token_is_validation_error(
+        self, dataset_dir, trained, tmp_path, capsys
+    ):
+        ckpt, _ = trained
+        record_id = read_manifest(str(dataset_dir / "manifest.jsonl")).entries[0].record.id
+        out = tmp_path / "sal"
+        code = main(
+            [
+                "saliency", "--checkpoint", str(ckpt),
+                "--manifest", str(dataset_dir / "manifest.jsonl"),
+                "--id", record_id, "--prompt", "mild <pad> osteoarthritis.", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "reserved token '<pad>'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_corrupt_checkpoint_is_io_error(self, dataset_dir, trained, tmp_path):

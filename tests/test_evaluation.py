@@ -441,6 +441,15 @@ class TestGradCam:
         with pytest.raises(ValueError, match="tokenization"):
             grad_cam(model, image, "flamingo osteoarthritis.", VOCAB)
 
+    @pytest.mark.parametrize("prompt", ["<pad>", "mild <pad> osteoarthritis.", "<PAD>"])
+    def test_reserved_pad_token_rejected(self, prompt):
+        # <pad> would be masked out of the mean: a silently dropped position,
+        # or for a prompt of pads alone an all-zero map
+        model = small_model(seed=7)
+        image = np.zeros((32, 32), np.float32)
+        with pytest.raises(ValueError, match="tokenization failure: reserved token '<pad>'"):
+            grad_cam(model, image, prompt, VOCAB)
+
     def test_normalized_max_is_one_when_nonzero(self):
         model = small_model(seed=8)
         image = render_image(

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -545,6 +546,58 @@ def test_train_step_gradients_have_their_own_buffers(monkeypatch):
             assert t32.grad.dtype == np.float32 and t32.grad.shape == t64.grad.shape
             error = np.linalg.norm(t32.grad - t64.grad)
             assert error <= 1e-3 * np.linalg.norm(t64.grad) + 1e-7
+
+
+def small_network(seed=12):
+    """(loss, leaves): conv, relu, pooling, a linear head, l2_normalize and
+    softmax cross-entropy, every op a parameter gradient passes through."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((2, 5, 5, 3)))
+    kernel = Parameter(rng.standard_normal((4, 3, 3, 3)))
+    bias = Parameter(rng.standard_normal(4))
+    weight = Parameter(rng.standard_normal((4, 3)))
+    hidden = nn.mean_pool(nn.relu(nn.conv2d(x, kernel, bias, stride=2)))
+    logits = nn.mul(nn.l2_normalize(nn.matmul(hidden, weight)), nn.exp(Tensor(1.5)))
+    return nn.softmax_cross_entropy(logits, np.array([0, 2])), (kernel, bias, weight)
+
+
+def test_a_sweep_frees_every_closure_and_keeps_every_gradient():
+    loss, _ = small_network()
+    ops = [t for t in graph_tensors(loss) if t._parents and t.requires_grad]
+    closures = [weakref.ref(t._backward) for t in ops]
+    # the gradient each node held when its closure ran, before anything freed
+    seen = {}
+
+    def recording(t, run):
+        def backward(g):
+            seen[id(t)] = g.copy()
+            run(g)
+
+        return backward
+
+    for t in ops:
+        t._backward = recording(t, t._backward)
+    loss.backward()
+    assert len(seen) == len(ops) > 5
+    for t, closure in zip(ops, closures):
+        assert t._backward is None
+        assert closure() is None  # and with it the arrays it saved
+        assert np.array_equal(t.grad, seen[id(t)])
+
+
+def test_a_second_sweep_raises_and_leaves_every_gradient_as_it_was():
+    loss, leaves = small_network()
+    loss.backward()
+    grads = [p.grad for p in leaves]
+    copies = [g.copy() for g in grads]
+    with pytest.raises(RuntimeError, match="earlier sweep"):
+        loss.backward()
+    # a new root over part of a swept graph cannot finish its sweep either
+    hidden = loss._parents[0]
+    with pytest.raises(RuntimeError, match="earlier sweep"):
+        nn.tsum(nn.mul(hidden, 2.0)).backward()
+    for p, g, copy in zip(leaves, grads, copies):
+        assert p.grad is g and np.array_equal(g, copy)
 
 
 # --- differential tests against the previous formulas ---------------------------
