@@ -278,7 +278,10 @@ def _cmd_saliency(args, config) -> int:
     from .synth import read_pgm
 
     checkpoint, manifest, vocab = _load_eval_inputs(args)
-    entry = manifest.by_id(args.image_id)
+    try:
+        entry = manifest.by_id(args.image_id)
+    except KeyError:
+        raise UsageError(f"manifest {args.manifest}: no entry has id {args.image_id!r}") from None
     image = read_pgm(manifest.resolve_image(entry))
     saliency = evaluation.grad_cam(
         checkpoint.model, image, args.prompt, vocab, image_id=args.image_id

@@ -2,11 +2,14 @@
 
 Tensors wrap numpy arrays (float32 for training, float64 for gradient
 checking). Each op computes its value and states one gradient rule per
-parent; ``_op`` builds every graph node from them. A Parameter is a leaf
-Tensor that also holds its Adam state, so ops take it directly. Spatial
-data is channels-last [N, H, W, C]: images as they are, captions as one-row
-images [N, 1, L, D], so one conv2d serves both encoders. A finite-difference
-checker validates every backward rule.
+parent; ``_op`` builds every graph node from them. Backward copies a
+parent's first gradient only when it may share memory with the output
+gradient it came from, so no two tensors share a gradient buffer. A
+Parameter is a leaf Tensor that also holds its Adam state, so ops take it
+directly. Spatial data is channels-last [N, H, W, C]: images as they are,
+captions as one-row images [N, 1, L, D], so one conv2d serves both
+encoders; it reads its padded input and writes its input gradient through
+one window view. A finite-difference checker validates every backward rule.
 """
 
 from __future__ import annotations
@@ -135,37 +138,38 @@ def _pair_tensors(a: TensorLike, b: TensorLike) -> Tuple[Tensor, Tensor]:
     return as_tensor(a), as_tensor(b)
 
 
-def _accumulate(t: Tensor, g: np.ndarray, held: bool) -> None:
-    """Add g into t.grad; the first arrival becomes t.grad in C order.
+def _accumulate(t: Tensor, grad: np.ndarray, g: np.ndarray) -> None:
+    """Add grad, computed from the output gradient g, into t.grad.
 
-    A g the caller has just computed is kept as it is when already C-ordered.
-    A ``held`` g (the output's own gradient, or a view of it that another
-    parent may also receive) is copied first, so no two tensors share a
-    gradient buffer. C order keeps Adam's elementwise updates fast.
+    The first arrival becomes t.grad in C order. It is copied when it may
+    share memory with g (g itself, or a view of it that another parent may
+    also receive), so no two tensors share a gradient buffer; a grad the
+    rule has just computed is kept as it is when already C-ordered. C order
+    keeps Adam's elementwise updates fast.
     """
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True if held else None, order="C")
+        copy = True if np.may_share_memory(grad, g) else None
+        t.grad = np.array(grad, dtype=t.data.dtype, copy=copy, order="C")
     else:
-        t.grad += g
+        t.grad += grad
 
 
 def _op(
     value: np.ndarray,
     parents: Tuple[Tensor, ...],
     grads: Tuple[Callable[[np.ndarray], np.ndarray], ...],
-    held: bool = False,
 ) -> Tensor:
     """The one builder of graph nodes: ``value`` computed from ``parents``.
 
     ``grads[i]`` maps the output gradient to parent i's gradient. Backward
     calls it only for parents that need a gradient, in parent order, and
-    passes ``held`` to ``_accumulate`` for every result.
+    hands each result to ``_accumulate``.
     """
 
     def backward(g):
         for parent, grad in zip(parents, grads):
             if parent.requires_grad:
-                _accumulate(parent, grad(g), held)
+                _accumulate(parent, grad(g), g)
 
     return Tensor(value, parents, backward)
 
@@ -183,7 +187,7 @@ def _unbroadcast(g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 def add(a: TensorLike, b: TensorLike) -> Tensor:
     at, bt = _pair_tensors(a, b)
     grads = (lambda g: _unbroadcast(g, at.shape), lambda g: _unbroadcast(g, bt.shape))
-    return _op(at.data + bt.data, (at, bt), grads, held=True)
+    return _op(at.data + bt.data, (at, bt), grads)
 
 
 def mul(a: TensorLike, b: TensorLike) -> Tensor:
@@ -214,7 +218,7 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
 def transpose(a: TensorLike) -> Tensor:
     """Reverse the axes: the matrix transpose of a 2-D tensor."""
     at = as_tensor(a)
-    return _op(at.data.T, (at,), (lambda g: g.T,), held=True)
+    return _op(at.data.T, (at,), (lambda g: g.T,))
 
 
 def relu(a: TensorLike) -> Tensor:
@@ -246,7 +250,7 @@ def tsum(a: TensorLike, axis=None) -> Tensor:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, at.shape)
 
-    return _op(at.data.sum(axis=axis), (at,), (d_a,), held=True)
+    return _op(at.data.sum(axis=axis), (at,), (d_a,))
 
 
 def tmean(a: TensorLike, axis=None) -> Tensor:
@@ -291,15 +295,15 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     return _op(weight.data[idx], (weight,), (d_weight,))
 
 
-def _tap_slices(offset: int, stride: int, n_out: int, size: int) -> Optional[Tuple[slice, slice]]:
-    """(output slice, input slice) of the outputs whose kernel tap reads input
-    index o * stride + offset inside [0, size), or None if all read padding."""
-    lo = max(0, -(offset // stride))
-    hi = min(n_out, (size - 1 - offset) // stride + 1)
-    if lo >= hi:
-        return None
-    first = lo * stride + offset
-    return slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)
+def _windows(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The [n, h_out, w_out, kh, kw, C] view of a padded [n, H, W, C] buffer:
+    window (oh, ow) starts at row oh * stride, column ow * stride, and the
+    last one ends inside the buffer, as np.ndarray checks."""
+    n, rows, cols, c = padded.shape
+    sn, sh, sw, sc = padded.strides
+    shape = (n, (rows - kh) // stride + 1, (cols - kw) // stride + 1, kh, kw, c)
+    strides = (sn, sh * stride, sw * stride, sh, sw, sc)
+    return np.ndarray(shape, padded.dtype, buffer=padded, strides=strides)
 
 
 def conv2d(x: TensorLike, kernel: TensorLike, bias: TensorLike, stride: int = 1) -> Tensor:
@@ -321,45 +325,29 @@ def conv2d(x: TensorLike, kernel: TensorLike, bias: TensorLike, stride: int = 1)
     if bt.shape != (c_out,):
         raise ShapeError(f"conv2d bias shape {bt.shape} does not match {c_out} output channels")
     ph, pw = kh // 2, kw // 2
-    h_out = (h + 2 * ph - kh) // stride + 1
-    w_out = (w + 2 * pw - kw) // stride + 1
-
-    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=xt.dtype)
+    padded_shape = (n, h + 2 * ph, w + 2 * pw, c)
+    xp = np.zeros(padded_shape, dtype=xt.dtype)
     xp[:, ph : ph + h, pw : pw + w] = xt.data
+    windows = _windows(xp, kh, kw, stride)
+    _, h_out, w_out = windows.shape[:3]
     # im2col rows in (kh, kw, C) order, so the copy moves contiguous runs of
-    # C channels. The window view [n, h_out, w_out, kh, kw, C] is built
-    # directly: its last window ends at row (h_out - 1) * stride + kh - 1,
-    # which the h_out formula keeps inside the padded rows (columns alike),
-    # and np.ndarray checks that extent against the buffer.
-    sn, sh, sw, sc = xp.strides
-    windows = np.ndarray(
-        (n, h_out, w_out, kh, kw, c),
-        xp.dtype,
-        buffer=xp,
-        offset=0,
-        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
-    )
-    windows.flags.writeable = False
+    # C channels
     cols = np.ascontiguousarray(windows).reshape(n * h_out * w_out, kh * kw * c)
     k_flat = kt.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c)
     y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out)
     y += bt.data
 
     def d_x(g):
-        # one GEMM per kernel tap; the outputs whose tap reads inside the
-        # input add into its gradient, taps in (i, j) order from zero
+        # one GEMM per kernel tap, added in (i, j) order through the forward's
+        # window view into a zeroed padded buffer; the interior is the gradient
         g_flat = g.reshape(n * h_out * w_out, c_out)
-        dx = np.zeros((n, h, w, c), dtype=xt.dtype)
-        row_taps = [_tap_slices(i - ph, stride, h_out, h) for i in range(kh)]
-        col_taps = [_tap_slices(j - pw, stride, w_out, w) for j in range(kw)]
-        for i, rows in enumerate(row_taps):
-            for j, cols_ in enumerate(col_taps):
-                if rows is None or cols_ is None:
-                    continue
-                (out_rows, in_rows), (out_cols, in_cols) = rows, cols_
-                tap = (g_flat @ kt.data[:, :, i, j]).reshape(n, h_out, w_out, c)
-                dx[:, in_rows, in_cols] += tap[:, out_rows, out_cols]
-        return dx
+        dxp = np.zeros(padded_shape, dtype=xt.dtype)
+        windows = _windows(dxp, kh, kw, stride)
+        for i in range(kh):
+            for j in range(kw):
+                tap = g_flat @ kt.data[:, :, i, j]
+                windows[:, :, :, i, j] += tap.reshape(n, h_out, w_out, c)
+        return dxp[:, ph : ph + h, pw : pw + w]
 
     def d_kernel(g):
         g_flat = g.reshape(n * h_out * w_out, c_out)

@@ -2,8 +2,9 @@
 
 Every scored feature perturbs a fixed piece of geometry (gap width, spurs,
 strip brightness, band thickness, dark disks, speckles), so the grades in a
-record are statistically recoverable from the rendered pixels and each
-feature has an exact ground-truth pixel region for saliency scoring.
+record are statistically recoverable from the rendered pixels. Each
+feature's ground-truth region for saliency scoring is its pre-shift mask
+dilated by the largest jitter shift: a superset of the pixels it changed.
 """
 
 from __future__ import annotations
@@ -285,9 +286,11 @@ def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
 def ground_truth_region(
     record: OaScoreRecord, feature: Tuple[str, str], cfg: SynthConfig
 ) -> GroundTruthRegion:
-    """Exact pixel region the renderer modified for one feature.
+    """A pixel region holding every pixel the renderer modified for one feature.
 
-    Pre-shift geometry dilated by max_shift, mirrored for right knees.
+    The pre-shift mask dilated by max_shift, mirrored for right knees: it
+    covers the feature wherever the jitter moved it, so it is a superset of
+    the pixels the feature changed, not their exact set.
     Raises ValueError when the feature is absent (grade 0 / flag false).
     """
     cfg.validate()

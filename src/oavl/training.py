@@ -484,6 +484,8 @@ def _read_checkpoint_tensors(path: str) -> Dict[str, Tuple[int, Tuple[int, ...],
             else:
                 raise CheckpointError(f"unknown tensor dtype {dtype}")
             crc = zlib.crc32(payload, crc)
+            if name in tensors:
+                raise CheckpointError(f"tensor {name!r} is stored twice")
             tensors[name] = (dtype, dims, payload)
         (stored_crc,) = struct.unpack("<I", read(4))
         if stored_crc != crc & 0xFFFFFFFF:
@@ -492,7 +494,9 @@ def _read_checkpoint_tensors(path: str) -> Dict[str, Tuple[int, Tuple[int, ...],
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read and verify a checkpoint; rejects bad magic, version, or checksum."""
+    """Read and verify a checkpoint; rejects bad magic, version, or checksum,
+    a tensor the config does not declare, and a config whose vocabulary is
+    not the caption grammar's."""
     tensors = _read_checkpoint_tensors(path)
     if "meta.config_json" not in tensors:
         raise CheckpointError("checkpoint is missing its config")
@@ -514,6 +518,18 @@ def load_checkpoint(path: str) -> Checkpoint:
         dtype, stored_dims, _payload = tensors[key]
         if dtype != _DTYPE_F32 or stored_dims != dims:
             raise CheckpointError(f"tensor {key!r} has unexpected dtype/shape")
+    declared = {key for key, _name, _attr, _dims in slots} | {"meta.config_json"}
+    for key in tensors:
+        if key not in declared:
+            raise CheckpointError(f"checkpoint holds undeclared tensor {key!r}")
+    # token indices come from this build's caption vocabulary
+    vocab_size = len(build_vocabulary())
+    if model_cfg.pad_index != Vocabulary.pad_index or model_cfg.vocab_size != vocab_size:
+        raise CheckpointError(
+            f"checkpoint config (vocab_size {model_cfg.vocab_size}, pad_index "
+            f"{model_cfg.pad_index}) does not match the caption vocabulary "
+            f"(vocab_size {vocab_size}, pad_index {Vocabulary.pad_index})"
+        )
     model = DualEncoder(model_cfg, seed=train_cfg.seed)
     for key, name, attr, dims in slots:
         values = np.frombuffer(tensors[key][2], dtype="<f4").reshape(dims).astype(np.float32)

@@ -540,6 +540,23 @@ class TestEvalAndSaliency:
         assert "reserved token '<pad>'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_saliency_id_is_validation_error(
+        self, dataset_dir, trained, tmp_path, capsys
+    ):
+        ckpt, _ = trained
+        manifest = dataset_dir / "manifest.jsonl"
+        out = tmp_path / "sal"
+        code = main(
+            [
+                "saliency", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+                "--id", "rec-missing", "--prompt", "severe osteoarthritis.", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: manifest {manifest}: no entry has id 'rec-missing'\n"
+        assert not out.exists()
+
     def test_corrupt_checkpoint_is_io_error(self, dataset_dir, trained, tmp_path):
         ckpt, _ = trained
         bad = tmp_path / "bad.bin"
@@ -556,17 +573,24 @@ class TestEvalAndSaliency:
         assert code == EXIT_IO
 
 
-def _with_tensor(src, dst, name, dtype, dims, payload):
-    """Copy a checkpoint with one tensor replaced and the checksum recomputed."""
-    tensors = _read_checkpoint_tensors(str(src))
-    tensors[name] = (dtype, dims, payload)
+def _write_checkpoint(dst, tensors):
+    """Write (name, (dtype, dims, payload)) pairs in order, with the tensor
+    count and the checksum computed over them."""
     out = io.BytesIO()
     out.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
     crc = 0
-    for name, (dtype, dims, payload) in tensors.items():
+    for name, (dtype, dims, payload) in tensors:
         _serialize_tensor(out, name, payload, dtype, dims)
         crc = zlib.crc32(payload, crc)
     dst.write_bytes(out.getvalue() + struct.pack("<I", crc))
+
+
+def _with_tensor(src, dst, name, dtype, dims, payload):
+    """Copy a checkpoint with one tensor replaced (or appended, for a new
+    name) and the checksum recomputed."""
+    tensors = _read_checkpoint_tensors(str(src))
+    tensors[name] = (dtype, dims, payload)
+    _write_checkpoint(dst, list(tensors.items()))
 
 
 def _with_meta(src, dst, edit):
@@ -766,6 +790,47 @@ class TestMalformedCheckpoint:
         _with_meta(ckpt, bad, _set(2**40, "model", "vocab_size"))
         assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
         assert "'text.token_embedding' has unexpected dtype/shape" in capsys.readouterr().err
+
+    def test_repeated_tensor_is_io_error(self, dataset_dir, trained, tmp_path, capsys):
+        ckpt, _ = trained
+        tensors = list(_read_checkpoint_tensors(str(ckpt)).items())
+        dtype, dims, payload = dict(tensors)["image.conv1.bias"]
+        bad = tmp_path / "bad.bin"
+        _write_checkpoint(bad, tensors + [("image.conv1.bias", (dtype, dims, bytes(len(payload))))])
+        assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
+        assert main(["inspect", str(bad)]) == EXIT_IO
+        assert "'image.conv1.bias' is stored twice" in capsys.readouterr().err
+
+    def test_undeclared_tensor_is_io_error(self, dataset_dir, trained, tmp_path, capsys):
+        ckpt, _ = trained
+        bad = tmp_path / "bad.bin"
+        _with_tensor(ckpt, bad, "surprise", 0, (1,), bytes(4))
+        assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
+        assert "undeclared tensor 'surprise'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["pad_index", "vocab_size"])
+    def test_config_off_the_caption_vocabulary_is_io_error(
+        self, field, dataset_dir, trained, tmp_path, capsys
+    ):
+        ckpt, _ = trained
+        tensors = _read_checkpoint_tensors(str(ckpt))
+        meta = json.loads(tensors["meta.config_json"][2])
+        meta["model"][field] += 3
+        if field == "vocab_size":
+            # stored shapes that match the config, so only the vocabulary is off
+            for key in (
+                "text.token_embedding",
+                "optim.text.token_embedding.m",
+                "optim.text.token_embedding.v",
+            ):
+                dtype, (rows, dim), _payload = tensors[key]
+                tensors[key] = (dtype, (rows + 3, dim), bytes((rows + 3) * dim * 4))
+        blob = json.dumps(meta).encode("utf-8")
+        tensors["meta.config_json"] = (1, (len(blob),), blob)
+        bad = tmp_path / "bad.bin"
+        _write_checkpoint(bad, list(tensors.items()))
+        assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
+        assert "does not match the caption vocabulary" in capsys.readouterr().err
 
     def test_tensor_name_not_utf8_is_io_error(self, dataset_dir, trained, tmp_path):
         ckpt, _ = trained

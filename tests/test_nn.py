@@ -515,6 +515,16 @@ def test_an_input_read_twice_gets_its_own_summed_gradient(build, scale):
     assert np.array_equal(x.grad, expected)
 
 
+def test_a_pass_through_rule_gets_its_own_gradient_buffer():
+    # an op does not say that its rule hands the output gradient on as it
+    # is: backward copies a first arrival that shares memory with it
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    y = nn._op(x.data, (x,), (lambda g: g,))
+    nn.tsum(nn.mul(y, Tensor(np.full((2, 3), 3.0)))).backward()
+    assert not np.shares_memory(x.grad, y.grad)
+    assert np.array_equal(x.grad, np.full((2, 3), 3.0))
+
+
 def test_train_step_gradients_have_their_own_buffers(monkeypatch):
     from oavl.captions import build_vocabulary
     from oavl.model import DualEncoder, ModelConfig
@@ -734,8 +744,9 @@ def _assert_conv2d_equals_window_reference(x_shape, k_shape, stride, dtype, seed
 def test_conv2d_equals_window_view_reference_bit_for_bit(
     n, h, w, c, c_out, kh, kw, stride, dtype, seed
 ):
-    # conv2d's window view is an unchecked as_strided: a wrong shape or
-    # stride reads outside the padded buffer rather than raising
+    # conv2d reads its input and writes its input gradient through one
+    # window view over a padded buffer; np.ndarray checks that view's extent,
+    # so a wrong shape or stride raises, and this pins every value it moves
     _assert_conv2d_equals_window_reference((n, h, w, c), (c_out, c, kh, kw), stride, dtype, seed)
 
 
