@@ -415,6 +415,8 @@ def split_text(text: str) -> List[str]:
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> np.ndarray:
     """Fixed-length index sequence: truncated to ``max_len``, right-padded."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     words = split_text(text)[:max_len]
     indices = [vocab.index(w) for w in words]
     indices.extend([vocab.pad_index] * (max_len - len(indices)))

@@ -94,9 +94,20 @@ def _parse_ratios(value) -> tuple:
     return tuple(float(part) for part in str(value).split(","))
 
 
+def _thread_count(text: str) -> int:
+    """--threads: BLAS reads 0 or less as "its default pool", so refuse it."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="oavl", description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_thread_count, default=None,
                         help="pin BLAS/OpenMP thread count (1 = deterministic mode)")
     parser.add_argument("--config", default=None, help="JSON config file")
     sub = parser.add_subparsers(dest="command", metavar="command")

@@ -4,7 +4,8 @@ All routines treat the model as frozen. Zero-shot builds a small prompt
 ensemble per KL class and predicts by cosine against the projected image
 embedding; retrieval ranks a caption pool the same way; Grad-CAM weights
 the final conv activations by the pooled gradient of the image-prompt
-cosine.
+cosine, which it computes in closed form through the projection head
+without autodiff.
 """
 
 from __future__ import annotations
@@ -347,8 +348,11 @@ def grad_cam(
     Channel weights are the spatial mean of the target's gradient on the
     final conv activations; the relu-ed weighted sum is upsampled to the
     input size and normalized to [0, 1] (an all-zero map stays zero).
-    The backward sweep starts from those activations as a fresh leaf, so
-    it runs the pooling and projection head only, never the convolutions.
+    Behind a global mean pool that gradient is the same at every position,
+    so it has a closed form (Grad-CAM reduces to CAM): plain numpy runs the
+    pooling and projection head forward and back, with the float ops and
+    order of the autodiff graph, so maps match its bits. No graph is swept
+    and no parameter's .grad is touched.
     """
     words = split_text(prompt)
     if not words:
@@ -365,14 +369,23 @@ def grad_cam(
         )
     prompt_vec = embed_texts(model, vocab, [prompt])[0]
 
-    acts = nn.Tensor(model.image_features(image[None]).data, requires_grad=True)
-    image_proj = model.project(nn.mean_pool(acts), "image")
-    target = nn.tsum(nn.mul(image_proj, nn.Tensor(prompt_vec[None, :].astype(model.dtype))))
-    model.zero_grad()
-    target.backward()
+    acts = model.image_features(image[None]).data  # [1, h, w, C]
+    _, h, w, channels = acts.shape
+    weight = model.param("proj.image.weight").data
+    # the image head (mean pool, linear, l2_normalize) and its gradient for
+    # the cosine with the prompt, in the ops and order of nn's graph
+    scale = np.asarray(1.0 / (h * w), dtype=model.dtype)  # tmean's factor
+    pooled = acts.sum(axis=(1, 2)) * scale
+    z = pooled @ weight + model.param("proj.image.bias").data
+    d_z = nn.l2_normalize_grad(z, prompt_vec[None, :].astype(model.dtype))
+    d_pooled = (d_z @ weight.T) * scale
+    # the mean of hw equal values need not be that value (the running sum
+    # rounds), and the sum's order follows the layout, so the mean reads a
+    # C-ordered [h, w, C] copy of the gradient, as the graph's sweep left it
+    d_acts = np.ascontiguousarray(np.broadcast_to(d_pooled, (h, w, channels)))
+    weights = d_acts.mean(axis=(0, 1))
 
-    activations = acts.data[0]  # [h, w, C]
-    weights = acts.grad[0].mean(axis=(0, 1))
+    activations = acts[0]  # [h, w, C]
     raw = np.maximum((activations * weights).sum(axis=-1), 0.0)
     resized = _bilinear_resize(raw, model.cfg.height, model.cfg.width)
     resized = np.maximum(resized, 0.0)

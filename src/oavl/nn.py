@@ -364,20 +364,26 @@ def linear(x: TensorLike, weight: TensorLike, bias: TensorLike) -> Tensor:
     return add(matmul(xt, wt), bt)
 
 
+def _l2_norms(v: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(||v||_2, ||v||_2 + eps) along the last axis, kept as a length-1 axis."""
+    norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    return norm, norm + eps
+
+
+def l2_normalize_grad(v: np.ndarray, g: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+    """The gradient on v of l2_normalize(v, eps), given its output gradient g."""
+    norm, denom = _l2_norms(v, eps)
+    scale = np.maximum(norm, np.finfo(v.dtype).tiny) * denom * denom
+    inner = (g * v).sum(axis=-1, keepdims=True)
+    # an all-zero row takes the limit g / denom; its scale underflows to 0
+    return g / denom - v * inner / np.where(norm > 0, scale, 1.0)
+
+
 def l2_normalize(v: TensorLike, eps: float = 1e-8) -> Tensor:
     """v / (||v||_2 + eps) along the last axis; zero rows stay zero."""
     vt = as_tensor(v)
-    norm = np.sqrt((vt.data * vt.data).sum(axis=-1, keepdims=True))
-    denom = norm + eps
-    value = vt.data / denom
-
-    def d_v(g):
-        scale = np.maximum(norm, np.finfo(vt.data.dtype).tiny) * denom * denom
-        inner = (g * vt.data).sum(axis=-1, keepdims=True)
-        # an all-zero row takes the limit g / denom; its scale underflows to 0
-        return g / denom - vt.data * inner / np.where(norm > 0, scale, 1.0)
-
-    return _op(value.astype(vt.dtype, copy=False), (vt,), (d_v,))
+    value = (vt.data / _l2_norms(vt.data, eps)[1]).astype(vt.dtype, copy=False)
+    return _op(value, (vt,), (lambda g: l2_normalize_grad(vt.data, g, eps),))
 
 
 def softmax_cross_entropy(logits: TensorLike, targets: np.ndarray) -> Tensor:

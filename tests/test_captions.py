@@ -209,6 +209,12 @@ class TestTokenizer:
         long_words = split_text(text)
         assert len(long_words) > 96
 
+    @pytest.mark.parametrize("max_len", [0, -2])
+    def test_max_len_below_one_rejected(self, vocab, max_len):
+        # a negative slice bound would cut tokens off the end instead
+        with pytest.raises(ValueError, match=f"max_len must be at least 1, got {max_len}"):
+            tokenize("mild osteoarthritis. knee is varus.", vocab, max_len)
+
     def test_vocabulary_closure_over_random_bags(self, vocab):
         rng = make_rng(77)
         for _ in range(1000):

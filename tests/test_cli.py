@@ -870,3 +870,14 @@ class TestInspect:
     def test_no_command_prints_usage(self, capsys):
         assert main([]) == EXIT_VALIDATION
         assert "usage" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_usage_error(self, threads, monkeypatch, capsys):
+        # BLAS reads 0 or less as its default pool; the refusal comes before
+        # any variable is set and before any command runs
+        variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for var in variables:
+            monkeypatch.delenv(var, raising=False)
+        assert main(["--threads", threads, "inspect", "missing.bin"]) == EXIT_VALIDATION
+        assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not any(var in os.environ for var in variables)

@@ -40,12 +40,12 @@ from conftest import make_record
 VOCAB = build_vocabulary()
 
 
-def small_model(seed=0):
+def small_model(seed=0, height=32, width=32, dtype=np.float32):
     cfg = ModelConfig(
-        height=32, width=32, channels=(4, 8, 8), embed_dim=8, proj_dim=4,
+        height=height, width=width, channels=(4, 8, 8), embed_dim=8, proj_dim=4,
         vocab_size=len(VOCAB), max_len=32,
     )
-    return DualEncoder(cfg, seed=seed)
+    return DualEncoder(cfg, seed=seed, dtype=dtype)
 
 
 def small_split(n, seed=9):
@@ -374,6 +374,14 @@ def full_graph_grad_cam(model, image, prompt):
 CONV_PARAMS = [f"image.conv{i}.{kind}" for i in (1, 2, 3) for kind in ("weight", "bias")]
 
 
+def _make_activations_constant(model):
+    """Zero conv weights and positive biases: the final activations are
+    spatially constant, so the weighted sum is constant too."""
+    for name in ("image.conv1", "image.conv2", "image.conv3"):
+        model.param(name + ".weight").data[...] = 0.0
+        model.param(name + ".bias").data[...] = 0.5
+
+
 class TestGradCam:
     @pytest.mark.parametrize(
         "seed, prompt", [(8, "moderate osteophytes."), (9, "severe osteoarthritis."),
@@ -390,7 +398,46 @@ class TestGradCam:
         saliency = grad_cam(model, image, prompt, VOCAB)
         assert saliency.values.dtype == expected.dtype
         assert saliency.values.tobytes() == expected.tobytes()
-        assert all(model.param(name).grad is None for name in CONV_PARAMS)
+
+    @pytest.mark.parametrize("case", ["float64", "grid-5x3", "black-image", "constant-activations"])
+    def test_closed_form_matches_full_graph(self, case):
+        height, width = (40, 24) if case == "grid-5x3" else (32, 32)
+        dtype = np.float64 if case == "float64" else np.float32
+        model = small_model(seed=12, height=height, width=width, dtype=dtype)
+        image = np.random.default_rng(12).random((height, width)).astype(np.float32)
+        if case == "black-image":
+            image[...] = 0.0  # zero biases: the image head's row is all zero
+        if case == "constant-activations":
+            _make_activations_constant(model)
+        if case == "grid-5x3":
+            # the gradient's mean runs over 15 positions, not 64
+            assert model.image_features(image[None]).shape == (1, 5, 3, 8)
+        nonzero = []
+        for prompt in ("severe osteoarthritis.", "image shows mild osteoarthritis in the left knee."):
+            expected = full_graph_grad_cam(model, image, prompt)
+            nonzero.append(bool(expected.any()))
+            saliency = grad_cam(model, image, prompt, VOCAB)
+            assert saliency.values.dtype == expected.dtype
+            assert saliency.values.tobytes() == expected.tobytes()
+        assert any(nonzero) == (case != "black-image")
+
+    def test_builds_no_gradient(self, monkeypatch):
+        def no_sweep(self):
+            raise AssertionError("grad_cam ran a backward sweep")
+
+        model = small_model(seed=4)
+        rng = np.random.default_rng(5)
+        sentinels = {}
+        for name, p in model.parameters().items():
+            p.grad = rng.standard_normal(p.shape).astype(p.dtype)
+            sentinels[name] = (p.grad, p.grad.tobytes())
+        monkeypatch.setattr(nn.Tensor, "backward", no_sweep)
+        image = rng.random((32, 32)).astype(np.float32)
+        assert grad_cam(model, image, "severe osteoarthritis.", VOCAB).values.any()
+        for name, p in model.parameters().items():
+            grad, payload = sentinels[name]
+            assert p.grad is grad, name
+            assert p.grad.tobytes() == payload, name
 
     def test_overlong_prompt_rejected(self):
         model = small_model(seed=7)
@@ -410,11 +457,7 @@ class TestGradCam:
 
     def test_constant_activations_give_uniform_map(self):
         model = small_model(seed=6)
-        # zero conv weights + positive biases make the final activations
-        # spatially constant, so the weighted sum is constant too
-        for name in ("image.conv1", "image.conv2", "image.conv3"):
-            model.param(name + ".weight").data[...] = 0.0
-            model.param(name + ".bias").data[...] = 0.5
+        _make_activations_constant(model)
         image = np.random.default_rng(7).random((32, 32)).astype(np.float32)
         saliency = grad_cam(model, image, "severe osteoarthritis.", VOCAB)
         assert np.ptp(saliency.values) <= 1e-6
