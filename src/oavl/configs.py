@@ -1,0 +1,33 @@
+"""Checks shared by the dataclass configs of synthesis, the model and training."""
+
+from __future__ import annotations
+
+from dataclasses import fields
+from typing import Type
+
+
+def check_field_types(config, error: Type[ValueError]) -> None:
+    """Raise ``error`` naming the first field whose value is not of its default's type.
+
+    A bool is no number, and an int also passes as a float.
+    """
+    for f in fields(config):
+        value, kind = getattr(config, f.name), type(f.default)
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise error(f"{f.name} must be {kind.__name__}, got {value!r}")
+
+
+def check_json_keys(cls, obj: dict) -> None:
+    """Raise ValueError unless the JSON object holds exactly ``cls``'s fields.
+
+    A missing field is refused, not filled with its default: a checkpoint
+    holds every field, and a default differing from the saved run's value
+    would load a different model or training run.
+    """
+    names = [f.name for f in fields(cls)]
+    extra = set(obj) - set(names)
+    if extra:
+        raise ValueError(f"unknown config key {sorted(extra)[0]!r}")
+    missing = [name for name in names if name not in obj]
+    if missing:
+        raise ValueError(f"missing config key {missing[0]!r}")

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import nn
 from .captions import DEFAULT_MAX_LEN
+from .configs import check_json_keys
 from .nn import Parameter, Tensor
 from .seeding import make_rng
 
@@ -65,9 +66,8 @@ class ModelConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModelConfig":
-        obj = dict(obj)
-        obj["channels"] = tuple(obj["channels"])
-        return cls(**obj).validate()
+        check_json_keys(cls, obj)
+        return cls(**{**obj, "channels": tuple(obj["channels"])}).validate()
 
 
 def parameter_shapes(cfg: ModelConfig) -> "OrderedDict[str, Tuple[int, ...]]":

@@ -2,18 +2,23 @@
 
 Tensors wrap numpy arrays (float32 for training, float64 for gradient
 checking). Each op computes its value and states one gradient rule per
-parent; ``_op`` builds every graph node from them. Backward copies a
-parent's first gradient only when it may share memory with the output
-gradient it came from, so no two tensors share a gradient buffer. A
+parent, leaving any broadcast of that parent in place; ``_op`` builds
+every graph node from them and sums each gradient to its parent's shape.
+``_accumulate`` sets its dtype, and copies a parent's first gradient only
+when it may share memory with the output gradient it came from, so no two
+tensors share a buffer. A
 Parameter is a leaf Tensor that also holds its Adam state, so ops take it
 directly. Spatial data is channels-last [N, H, W, C]: images as they are,
 captions as one-row images [N, 1, L, D], so one conv2d serves both
 encoders; it reads its padded input and writes its input gradient through
-one window view. A finite-difference checker validates every backward rule.
+one window view. Adam and l2_normalize use fixed constants, the Kingma-Ba
+defaults: beta1 = 0.9, beta2 = 0.999 and eps = 1e-8. A finite-difference
+checker validates every backward rule.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -28,16 +33,14 @@ class ShapeError(ValueError):
 _branch_trace: Optional[List[bytes]] = None
 
 
-class branch_trace:
-    def __enter__(self) -> List[bytes]:
-        global _branch_trace
-        self._prev = _branch_trace
-        _branch_trace = []
-        return _branch_trace
-
-    def __exit__(self, *exc) -> None:
-        global _branch_trace
-        _branch_trace = self._prev
+@contextlib.contextmanager
+def branch_trace():
+    global _branch_trace
+    prev, _branch_trace = _branch_trace, []
+    try:
+        yield _branch_trace
+    finally:
+        _branch_trace = prev
 
 
 def _record_branch(mask: np.ndarray) -> None:
@@ -60,13 +63,11 @@ class Tensor:
         data,
         parents: Tuple["Tensor", ...] = (),
         backward=None,
-        requires_grad: Optional[bool] = None,
+        requires_grad: bool = False,
     ):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
         self.grad: Optional[np.ndarray] = None
-        if requires_grad is None:
-            requires_grad = any(p.requires_grad for p in parents)
-        self.requires_grad = requires_grad
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = backward
 
@@ -115,7 +116,7 @@ class Tensor:
             raise RuntimeError("backward() through a graph an earlier sweep has run")
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+            if node._backward is not None:
                 node._backward(node.grad)
                 node._backward = None
 
@@ -141,11 +142,11 @@ def _pair_tensors(a: TensorLike, b: TensorLike) -> Tuple[Tensor, Tensor]:
 def _accumulate(t: Tensor, grad: np.ndarray, g: np.ndarray) -> None:
     """Add grad, computed from the output gradient g, into t.grad.
 
-    The first arrival becomes t.grad in C order. It is copied when it may
-    share memory with g (g itself, or a view of it that another parent may
-    also receive), so no two tensors share a gradient buffer; a grad the
-    rule has just computed is kept as it is when already C-ordered. C order
-    keeps Adam's elementwise updates fast.
+    The first arrival becomes t.grad in t's dtype and C order. It is copied
+    when it may share memory with g (g itself, or a view of it that another
+    parent may also receive), so no two tensors share a gradient buffer; a
+    grad the rule has just computed is kept as it is when already C-ordered
+    in t's dtype. C order keeps Adam's elementwise updates fast.
     """
     if t.grad is None:
         copy = True if np.may_share_memory(grad, g) else None
@@ -161,15 +162,16 @@ def _op(
 ) -> Tensor:
     """The one builder of graph nodes: ``value`` computed from ``parents``.
 
-    ``grads[i]`` maps the output gradient to parent i's gradient. Backward
-    calls it only for parents that need a gradient, in parent order, and
-    hands each result to ``_accumulate``.
+    ``grads[i]`` maps the output gradient to parent i's, with any broadcast
+    of parent i left in place. Backward calls it only for parents that need
+    a gradient, in parent order, and hands each result, summed to its
+    parent's shape, to ``_accumulate``.
     """
 
     def backward(g):
         for parent, grad in zip(parents, grads):
             if parent.requires_grad:
-                _accumulate(parent, grad(g), g)
+                _accumulate(parent, _unbroadcast(grad(g), parent.shape), g)
 
     return Tensor(value, parents, backward)
 
@@ -186,23 +188,19 @@ def _unbroadcast(g: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 def add(a: TensorLike, b: TensorLike) -> Tensor:
     at, bt = _pair_tensors(a, b)
-    grads = (lambda g: _unbroadcast(g, at.shape), lambda g: _unbroadcast(g, bt.shape))
-    return _op(at.data + bt.data, (at, bt), grads)
+    return _op(at.data + bt.data, (at, bt), (lambda g: g, lambda g: g))
 
 
 def mul(a: TensorLike, b: TensorLike) -> Tensor:
     at, bt = _pair_tensors(a, b)
-    return _op(at.data * bt.data, (at, bt), (
-        lambda g: _unbroadcast(g * bt.data, at.shape),
-        lambda g: _unbroadcast(g * at.data, bt.shape),
-    ))
+    return _op(at.data * bt.data, (at, bt), (lambda g: g * bt.data, lambda g: g * at.data))
 
 
 def div(a: TensorLike, b: TensorLike) -> Tensor:
     at, bt = _pair_tensors(a, b)
     return _op(at.data / bt.data, (at, bt), (
-        lambda g: _unbroadcast(g / bt.data, at.shape),
-        lambda g: _unbroadcast(-g * at.data / (bt.data * bt.data), bt.shape),
+        lambda g: g / bt.data,
+        lambda g: -g * at.data / (bt.data * bt.data),
     ))
 
 
@@ -239,7 +237,7 @@ def clamp(a: TensorLike, lo: float, hi: float) -> Tensor:
     mask = (at.data >= lo) & (at.data <= hi)
     _record_branch(mask)
     value = np.clip(at.data, lo, hi)
-    return _op(value, (at,), (lambda g: np.where(mask, g, 0.0).astype(at.dtype, copy=False),))
+    return _op(value, (at,), (lambda g: np.where(mask, g, 0.0),))
 
 
 def tsum(a: TensorLike, axis=None) -> Tensor:
@@ -255,13 +253,7 @@ def tsum(a: TensorLike, axis=None) -> Tensor:
 
 def tmean(a: TensorLike, axis=None) -> Tensor:
     at = as_tensor(a)
-    if axis is None:
-        count = at.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = 1
-        for ax in axes:
-            count *= at.shape[ax]
+    count = at.data.size if axis is None else np.prod(np.take(at.shape, axis))
     return mul(tsum(at, axis=axis), 1.0 / count)
 
 
@@ -353,7 +345,7 @@ def conv2d(x: TensorLike, kernel: TensorLike, bias: TensorLike, stride: int = 1)
         g_flat = g.reshape(n * h_out * w_out, c_out)
         return (g_flat.T @ cols).reshape(c_out, kh, kw, c).transpose(0, 3, 1, 2)
 
-    return _op(y, (xt, kt, bt), (d_x, d_kernel, lambda g: _unbroadcast(g, bt.shape)))
+    return _op(y, (xt, kt, bt), (d_x, d_kernel, lambda g: g))
 
 
 def linear(x: TensorLike, weight: TensorLike, bias: TensorLike) -> Tensor:
@@ -364,26 +356,29 @@ def linear(x: TensorLike, weight: TensorLike, bias: TensorLike) -> Tensor:
     return add(matmul(xt, wt), bt)
 
 
-def _l2_norms(v: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(||v||_2, ||v||_2 + eps) along the last axis, kept as a length-1 axis."""
+L2_EPS = 1e-8
+
+
+def _l2_norms(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(||v||_2, ||v||_2 + L2_EPS) along the last axis, kept as a length-1 axis."""
     norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
-    return norm, norm + eps
+    return norm, norm + L2_EPS
 
 
-def l2_normalize_grad(v: np.ndarray, g: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    """The gradient on v of l2_normalize(v, eps), given its output gradient g."""
-    norm, denom = _l2_norms(v, eps)
+def l2_normalize_grad(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient on v of l2_normalize(v), given its output gradient g."""
+    norm, denom = _l2_norms(v)
     scale = np.maximum(norm, np.finfo(v.dtype).tiny) * denom * denom
     inner = (g * v).sum(axis=-1, keepdims=True)
     # an all-zero row takes the limit g / denom; its scale underflows to 0
     return g / denom - v * inner / np.where(norm > 0, scale, 1.0)
 
 
-def l2_normalize(v: TensorLike, eps: float = 1e-8) -> Tensor:
-    """v / (||v||_2 + eps) along the last axis; zero rows stay zero."""
+def l2_normalize(v: TensorLike) -> Tensor:
+    """v / (||v||_2 + L2_EPS) along the last axis; zero rows stay zero."""
     vt = as_tensor(v)
-    value = (vt.data / _l2_norms(vt.data, eps)[1]).astype(vt.dtype, copy=False)
-    return _op(value, (vt,), (lambda g: l2_normalize_grad(vt.data, g, eps),))
+    value = (vt.data / _l2_norms(vt.data)[1]).astype(vt.dtype, copy=False)
+    return _op(value, (vt,), (lambda g: l2_normalize_grad(vt.data, g),))
 
 
 def softmax_cross_entropy(logits: TensorLike, targets: np.ndarray) -> Tensor:
@@ -415,7 +410,7 @@ def softmax_cross_entropy(logits: TensorLike, targets: np.ndarray) -> Tensor:
     def d_logits(g):
         grad = softmax.copy()
         grad[rows, tg] -= 1.0
-        return (grad * (g / n)).astype(lt.dtype, copy=False)
+        return grad * (g / n)
 
     return _op(np.asarray(losses.mean(), dtype=lt.dtype), (lt,), (d_logits,))
 
@@ -439,14 +434,11 @@ class MissingGradientError(RuntimeError):
     pass
 
 
-def adam_step(
-    p: Parameter,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 1e-3,
-) -> None:
+# Adam's published defaults (Kingma & Ba 2015), which every caller uses
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(p: Parameter, lr: float, weight_decay: float = 1e-3) -> None:
     """Decoupled weight decay (p -= lr*wd*p), then bias-corrected Adam.
 
     m and v are updated in place, through two scratch arrays; each element
@@ -460,17 +452,17 @@ def adam_step(
     if weight_decay:
         p.data -= lr * weight_decay * p.data
     p.t += 1
-    step = np.multiply(g, 1.0 - beta1, out=np.empty_like(p.m))
-    p.m *= beta1
+    step = np.multiply(g, 1.0 - BETA1, out=np.empty_like(p.m))
+    p.m *= BETA1
     p.m += step
     np.multiply(g, g, out=step)
-    step *= 1.0 - beta2
-    p.v *= beta2
+    step *= 1.0 - BETA2
+    p.v *= BETA2
     p.v += step
-    denom = np.divide(p.v, 1.0 - beta2**p.t, out=np.empty_like(p.v))  # v_hat
+    denom = np.divide(p.v, 1.0 - BETA2**p.t, out=np.empty_like(p.v))  # v_hat
     np.sqrt(denom, out=denom)
-    denom += eps
-    np.divide(p.m, 1.0 - beta1**p.t, out=step)  # m_hat
+    denom += ADAM_EPS
+    np.divide(p.m, 1.0 - BETA1**p.t, out=step)  # m_hat
     step *= lr
     step /= denom
     p.data -= step

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .configs import check_field_types
 from .scores import FEATURE_BY_NAME, OaScoreRecord, ScoreValidationError, sample_record
 from .seeding import derive_seed, make_rng
 
@@ -60,6 +61,7 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> "SynthConfig":
+        check_field_types(self, SynthConfigError)
         if self.height < 32 or self.width < 32:
             raise SynthConfigError("height and width must be at least 32")
         if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:

@@ -15,7 +15,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +30,7 @@ from .captions import (
     shuffle_sentences,
     tokenize,
 )
+from .configs import check_field_types, check_json_keys
 from .model import DualEncoder, ModelConfig, parameter_shapes, similarity_matrix, total_loss
 from .scores import OaScoreRecord, perturb_negative, severity_signature
 from .seeding import make_rng
@@ -64,10 +65,7 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         """Check every field's type and range; a checkpoint's config arrives as JSON."""
-        for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            if type(value) not in ((int, float) if kind is float else (kind,)):
-                raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
+        check_field_types(self, ValueError)
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.batch_size < 2:
@@ -88,10 +86,7 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(obj) - known
-        if extra:
-            raise ValueError(f"unknown config key {sorted(extra)[0]!r}")
+        check_json_keys(cls, obj)
         return cls(**obj).validate()
 
 
@@ -349,14 +344,12 @@ def fit(
     for epoch in range(cfg.epochs):
         plan = epoch_plan(groups, cfg, make_rng(cfg.seed, "plan", epoch))
         sums = np.zeros(3)
-        steps = 0
         for batch in plan:
             images = pgm_to_float(train_samples[[train_rows[item.record.id] for item in batch]])
             pos, neg = _batch_tokens(batch, cfg, vocab, model_cfg.max_len, epoch)
             losses = train_step(model, images, pos, neg, cfg)
             sums += np.asarray(losses)
-            steps += 1
-        means = sums / max(steps, 1)
+        means = sums / max(len(plan), 1)
         val_acc = None
         if val_entries:
             val_images = dict(zip(val_ids, pgm_to_float(val_samples)))

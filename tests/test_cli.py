@@ -602,9 +602,15 @@ def _with_meta(src, dst, edit):
     _with_tensor(src, dst, "meta.config_json", 1, (len(meta),), meta)
 
 
-def _drop(key):
+def _section(meta, path):
+    for key in path[:-1]:
+        meta = meta[key]
+    return meta
+
+
+def _drop(*path):
     def edit(meta):
-        del meta[key]
+        del _section(meta, path)[path[-1]]
         return meta
 
     return edit
@@ -612,10 +618,7 @@ def _drop(key):
 
 def _set(value, *path):
     def edit(meta):
-        section = meta
-        for key in path[:-1]:
-            section = section[key]
-        section[path[-1]] = value
+        _section(meta, path)[path[-1]] = value
         return meta
 
     return edit
@@ -629,6 +632,8 @@ MALFORMED_CONFIGS = {
     "missing-model": _drop("model"),
     "missing-train": _drop("train"),
     "missing-epoch": _drop("epoch"),
+    "missing-model-height": _drop("model", "height"),
+    "missing-train-seed": _drop("train", "seed"),
     "string-embed-dim": _set("64", "model", "embed_dim"),
     "negative-proj-dim": _set(-1, "model", "proj_dim"),
     "negative-temperature": _set(-1.0, "model", "temperature_init"),

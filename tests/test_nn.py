@@ -237,7 +237,7 @@ class TestAdam:
         for t in range(1, 201):
             g = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 2)).astype(dtype)
             p.grad = g
-            adam_step(p, lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=decay)
+            adam_step(p, lr=lr, weight_decay=decay)
             data = data - lr * decay * data
             m = beta1 * m + (1.0 - beta1) * g
             v = beta2 * v + (1.0 - beta2) * (g * g)
@@ -434,6 +434,49 @@ def test_unbroadcast_shapes():
     assert b.grad.shape == (4, 3)
     assert np.all(a.grad == 4 * 3 / 3)  # 4 broadcast copies along the middle axis
     assert np.all(b.grad == 2)
+
+
+def test_op_sums_a_rule_gradient_to_its_parent_shape():
+    # a rule states its gradient in the output's shape; the node sums it
+    # down to the broadcast parent's
+    row = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True)
+    y = nn._op(np.broadcast_to(row.data, (4, 3)).copy(), (row,), (lambda g: g,))
+    weights = np.arange(12.0).reshape(4, 3)
+    nn.tsum(nn.mul(y, Tensor(weights))).backward()
+    assert row.grad.shape == (1, 3)
+    assert np.array_equal(row.grad, weights.sum(axis=0, keepdims=True))
+
+
+def _tmean_by_counted_axes(a, axis):
+    """The mean as a sum times 1 / count, the count multiplied out axis by axis."""
+    if axis is None:
+        count = a.data.size
+    else:
+        count = 1
+        for ax in (axis,) if isinstance(axis, int) else axis:
+            count *= a.shape[ax]
+    return nn.mul(nn.tsum(a, axis=axis), 1.0 / count)
+
+
+@pytest.mark.parametrize(
+    "shape, axis",
+    [((2, 3, 4), None), ((2, 3, 4), 1), ((2, 3, 4), -1), ((2, 3, 4), (0, 2)), ((0, 2, 3, 5), (1, 2))],
+)
+def test_tmean_matches_the_counted_mean_bit_for_bit(shape, axis):
+    rng = np.random.default_rng(4)
+    data = rng.standard_normal(shape).astype(np.float32)
+    weights = rng.standard_normal(data.sum(axis=axis).shape).astype(np.float32)
+    results = []
+    for mean in (nn.tmean, _tmean_by_counted_axes):
+        x = Tensor(data.copy(), requires_grad=True)
+        y = mean(x, axis)
+        nn.tsum(nn.mul(y, Tensor(weights))).backward()
+        results.append((y.data, x.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    if shape[0] == 0:
+        assert results[0][0].shape == (0, 5)
 
 
 OPERAND_SHAPES = {

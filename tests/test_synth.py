@@ -96,6 +96,15 @@ class TestRenderGeometry:
         with pytest.raises(SynthConfigError):
             SynthConfig(noise_sigma=-1).validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("max_shift", 1.5), ("noise_sigma", True), ("height", 64.0), ("width", "64")],
+    )
+    def test_config_field_of_the_wrong_type(self, field, value):
+        # a bool is no number, and only an int also passes as a float
+        with pytest.raises(SynthConfigError, match=f"^{field} must be"):
+            SynthConfig(**{field: value}).validate()
+
     @pytest.mark.parametrize("sigma", [float("inf"), float("-inf"), float("nan")])
     def test_noise_sigma_must_be_finite(self, sigma):
         with pytest.raises(SynthConfigError, match="noise_sigma must be finite"):
