@@ -19,6 +19,8 @@ import sys
 from dataclasses import fields
 from typing import Dict, List, Optional
 
+from .configs import is_json_type
+
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
@@ -61,17 +63,13 @@ def _load_config(path: Optional[str]) -> Dict:
     if unknown:
         raise UsageError(f"unknown config key {sorted(unknown)[0]!r}")
     for key, value in config.items():
-        if not _has_type(value, types[key]):
+        if not is_json_type(value, *types[key]):
             names = " or ".join(t.__name__ for t in types[key])
             raise UsageError(f"config key {key!r} must be {names}, got {value!r}")
+    ratios = config.get("ratios")
+    if is_json_type(ratios, list) and not all(is_json_type(r, float) for r in ratios):
+        raise UsageError(f"config key 'ratios' must list numbers, got {ratios!r}")
     return config
-
-
-def _has_type(value, expected: tuple) -> bool:
-    """isinstance, except that a bool is no number and an int also passes as a float."""
-    if isinstance(value, bool):
-        return bool in expected
-    return isinstance(value, expected + ((int,) if float in expected else ()))
 
 
 def _merged(args: argparse.Namespace, config: Dict, key: str, default):

@@ -1,4 +1,4 @@
-"""Checks shared by the dataclass configs of synthesis, the model and training."""
+"""Checks shared by the JSON readers: records, configs, checkpoints and the CLI."""
 
 from __future__ import annotations
 
@@ -6,14 +6,20 @@ from dataclasses import fields
 from typing import Type
 
 
-def check_field_types(config, error: Type[ValueError]) -> None:
-    """Raise ``error`` naming the first field whose value is not of its default's type.
-
-    A bool is no number, and an int also passes as a float.
+def is_json_type(value, *kinds: type) -> bool:
+    """Whether ``value``'s type is exactly one of ``kinds``, the one type rule
+    of every JSON reader: a bool is no number, and an int also passes as a float.
     """
+    kind = type(value)
+    return kind in kinds or (kind is int and float in kinds)
+
+
+def check_field_types(config, error: Type[ValueError]) -> None:
+    """Raise ``error`` naming the first field whose value is not of its default's
+    type, under :func:`is_json_type`."""
     for f in fields(config):
         value, kind = getattr(config, f.name), type(f.default)
-        if type(value) not in ((int, float) if kind is float else (kind,)):
+        if not is_json_type(value, kind):
             raise error(f"{f.name} must be {kind.__name__}, got {value!r}")
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nn
 from .captions import DEFAULT_MAX_LEN
-from .configs import check_json_keys
+from .configs import check_field_types, check_json_keys, is_json_type
 from .nn import Parameter, Tensor
 from .seeding import make_rng
 
@@ -44,20 +44,21 @@ class ModelConfig:
 
     def validate(self) -> "ModelConfig":
         """Check every field's type and range; a checkpoint's config arrives as JSON."""
+        check_field_types(self, ValueError)
         if len(self.channels) != 3:
             raise ValueError("the image encoder has exactly 3 conv stages")
         names = ("height", "width", "embed_dim", "proj_dim", "max_len")
         sizes = {name: getattr(self, name) for name in names}
         sizes.update({f"channels[{i}]": c for i, c in enumerate(self.channels)})
         for name, value in sizes.items():
-            if type(value) is not int or value < 1:
+            if not is_json_type(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if type(self.vocab_size) is not int or self.vocab_size <= 2:
+        if self.vocab_size <= 2:
             raise ValueError("vocab_size must cover the caption grammar")
-        if type(self.pad_index) is not int or not 0 <= self.pad_index < self.vocab_size:
+        if not 0 <= self.pad_index < self.vocab_size:
             raise ValueError(f"pad_index must index the vocabulary, got {self.pad_index!r}")
         tau = self.temperature_init
-        if type(tau) not in (int, float) or not TAU_MIN <= tau <= TAU_MAX:
+        if not TAU_MIN <= tau <= TAU_MAX:
             raise ValueError(f"temperature_init must be in [{TAU_MIN}, {TAU_MAX}], got {tau!r}")
         return self
 

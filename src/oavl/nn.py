@@ -12,14 +12,13 @@ directly. Spatial data is channels-last [N, H, W, C]: images as they are,
 captions as one-row images [N, 1, L, D], so one conv2d serves both
 encoders; it reads its padded input and writes its input gradient through
 one window view. Adam and l2_normalize use fixed constants, the Kingma-Ba
-defaults: beta1 = 0.9, beta2 = 0.999 and eps = 1e-8. A finite-difference
-checker validates every backward rule.
+defaults: beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +28,7 @@ class ShapeError(ValueError):
 
 
 # Optional trace of data-dependent branches (relu/clamp masks), used by the
-# gradient checker to detect kink crossings between probe evaluations.
+# tests' gradient checker to detect kink crossings between probe evaluations.
 _branch_trace: Optional[List[bytes]] = None
 
 
@@ -466,67 +465,3 @@ def adam_step(p: Parameter, lr: float, weight_decay: float = 1e-3) -> None:
     step *= lr
     step /= denom
     p.data -= step
-
-
-# --- gradient checking -------------------------------------------------------
-
-
-def finite_difference_check(
-    f: Callable[[], Tensor],
-    params: Iterable[Tensor],
-    h: float = 1e-4,
-    max_coords: Optional[int] = None,
-) -> float:
-    """Max relative error between reverse-mode and central-difference gradients.
-
-    ``f`` rebuilds the scalar loss from the current parameter payloads. The
-    relative error denominator is max(|analytic|, |numeric|, 1e-8). Probes
-    whose +-h interval crosses a relu/clamp branch flip retry with a smaller
-    step and are skipped if the interval cannot be made smooth (the central
-    difference does not estimate the derivative across a kink). When
-    ``max_coords`` is set, the coordinates with the largest gradient
-    magnitude are checked for each parameter.
-    """
-    params = list(params)
-    for p in params:
-        p.requires_grad = True
-        p.grad = None
-    with branch_trace() as base_trace:
-        loss = f()
-    loss.backward()
-    if not np.isfinite(loss.data):
-        raise FloatingPointError("loss is not finite")
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    def eval_at(p: Tensor, flat_index: int, delta: float) -> Tuple[float, List[bytes]]:
-        original = p.data.reshape(-1)[flat_index]
-        p.data.reshape(-1)[flat_index] = original + delta
-        try:
-            with branch_trace() as trace:
-                value = float(f().data)
-        finally:
-            p.data.reshape(-1)[flat_index] = original
-        return value, trace
-
-    max_rel = 0.0
-    for p, grad in zip(params, analytic):
-        flat_grad = grad.reshape(-1)
-        if max_coords is None or flat_grad.size <= max_coords:
-            coords = range(flat_grad.size)
-        else:
-            coords = np.argsort(-np.abs(flat_grad), kind="stable")[:max_coords]
-        for idx in coords:
-            step = h
-            for _attempt in range(4):
-                plus, trace_plus = eval_at(p, idx, step)
-                minus, trace_minus = eval_at(p, idx, -step)
-                if trace_plus == base_trace and trace_minus == base_trace:
-                    break
-                step /= 8.0
-            else:
-                continue  # kink could not be avoided; probe is meaningless there
-            numeric = (plus - minus) / (2.0 * step)
-            a = float(flat_grad[idx])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            max_rel = max(max_rel, rel)
-    return max_rel

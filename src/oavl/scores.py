@@ -14,12 +14,13 @@ from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
+from .configs import is_json_type
+
 GRADE_MIN = 0
 GRADE_MAX = 4
 
 # Ordinal severity 0..4 mapped to descriptive words.
 GRADE_WORDS = ("no", "early", "mild", "moderate", "severe")
-WORD_TO_GRADE = {word: g for g, word in enumerate(GRADE_WORDS)}
 
 SIDES = ("left", "right")
 SEXES = ("male", "female")
@@ -51,8 +52,8 @@ class Feature(NamedTuple):
 
 
 # The score schema, one row per map field in record field order. Validation,
-# sampling, negatives, signatures, captions, parsing and ground-truth
-# regions all read it; the order is also the sampling RNG draw order.
+# sampling, negatives, signatures, captions and ground-truth regions all
+# read it; the order is also the sampling RNG draw order.
 FEATURES = (
     Feature("osteophytes", BONE_COMPARTMENTS, True, "osteophytes"),
     Feature("sclerosis", BONE_COMPARTMENTS, True, "sclerosis"),
@@ -131,7 +132,7 @@ _MAP_FIELDS = tuple(feature.name for feature in FEATURES)
 
 
 def _check_grade(field_name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_json_type(value, int):
         raise ScoreValidationError(field_name, "grade must be an integer")
     if not GRADE_MIN <= value <= GRADE_MAX:
         raise ScoreValidationError(field_name, "grade out of range")
@@ -146,7 +147,7 @@ def _check_map(feature: Feature, value) -> None:
             raise ScoreValidationError(field_name, "missing key")
         if feature.graded:
             _check_grade(field_name, value[key])
-        elif not isinstance(value[key], bool):
+        elif not is_json_type(value[key], bool):
             raise ScoreValidationError(field_name, "flag must be a boolean")
     for key in value:
         if key not in feature.compartments:
@@ -169,7 +170,7 @@ def validate_record(record: OaScoreRecord) -> OaScoreRecord:
         raise ScoreValidationError("id", f"must not contain a control character, got {record.id!r}")
     if record.side not in SIDES:
         raise ScoreValidationError("side", f"must be one of {SIDES}")
-    if isinstance(record.age, bool) or not isinstance(record.age, int):
+    if not is_json_type(record.age, int):
         raise ScoreValidationError("age", "must be an integer")
     if not AGE_MIN <= record.age <= AGE_MAX:
         raise ScoreValidationError("age", "out of range")

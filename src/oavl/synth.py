@@ -467,8 +467,8 @@ def split_counts(n: int, ratios: Sequence[float]) -> Tuple[int, ...]:
     """Floor the leading ratios; the last split absorbs the remainder."""
     if len(ratios) != len(SPLITS):
         raise ValueError(f"expected {len(SPLITS)} ratios")
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must be non-negative and sum to 1")
+    if not all(0 <= r < np.inf for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"ratios must be finite, non-negative and sum to 1, got {tuple(ratios)}")
     counts = [int(np.floor(r * n)) for r in ratios[:-1]]
     counts.append(n - sum(counts))
     if counts[-1] < 0:

@@ -30,7 +30,7 @@ from .captions import (
     shuffle_sentences,
     tokenize,
 )
-from .configs import check_field_types, check_json_keys
+from .configs import check_field_types, check_json_keys, is_json_type
 from .model import DualEncoder, ModelConfig, parameter_shapes, similarity_matrix, total_loss
 from .scores import OaScoreRecord, perturb_negative, severity_signature
 from .seeding import make_rng
@@ -208,12 +208,7 @@ class TrainReport:
     config: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "epochs": [asdict(e) for e in self.epochs],
-            "initial_neg_cosine": self.initial_neg_cosine,
-            "final_neg_cosine": self.final_neg_cosine,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def _load_samples(
@@ -498,7 +493,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         model_cfg = ModelConfig.from_json_dict(meta["model"])
         train_cfg = TrainConfig.from_json_dict(meta["train"])
         epoch = meta["epoch"]
-        if type(epoch) is not int or epoch < 0:
+        if not is_json_type(epoch, int) or epoch < 0:
             raise ValueError(f"epoch must be a whole number >= 0, got {epoch!r}")
     except (ValueError, TypeError, KeyError, RecursionError) as exc:
         raise CheckpointError(f"malformed checkpoint config: {exc!r}") from exc

@@ -15,18 +15,19 @@ from oavl import evaluation
 from oavl.captions import (
     TemplateKind,
     build_vocabulary,
-    parse_caption,
     render_caption,
     shuffle_sentences,
 )
 from oavl.cli import EXIT_OK, main
 from oavl.model import info_nce_loss
-from oavl.nn import Tensor, finite_difference_check
+from oavl.nn import Tensor
 from oavl.scores import COMPARTMENT_NAMES, grade_word, perturb_negative, sample_record
 from oavl.seeding import make_rng
 from oavl.synth import SynthConfig, generate_dataset, ground_truth_region, read_pgm
 from oavl.training import CheckpointError, TrainConfig, fit, load_checkpoint, save_checkpoint
 
+from caption_parser import parse_caption
+from gradcheck import finite_difference_check
 from test_evaluation import oracle_bleu4
 from test_model import build_fd_model_and_loss
 from test_nn import PRIMITIVE_CASES

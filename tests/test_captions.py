@@ -7,7 +7,6 @@ from oavl.captions import (
     TEMPLATE_ORDER,
     TemplateKind,
     build_vocabulary,
-    parse_caption,
     render_caption,
     shuffle_sentences,
     split_text,
@@ -16,6 +15,7 @@ from oavl.captions import (
 from oavl.scores import perturb_negative, sample_record
 from oavl.seeding import make_rng
 
+from caption_parser import parse_caption
 from conftest import make_record
 
 

@@ -131,6 +131,8 @@ WRONG_TYPE_CONFIGS = [
     ("height-string", "synth", {"height": "64"}),
     ("seed-float", "synth", {"seed": 1.5}),
     ("k-string", "retrieval", {"k": "5"}),
+    ("ratios-bool-element", "synth", {"ratios": [0.9, 0.1, False]}),
+    ("ratios-string-elements", "synth", {"ratios": ["0.5", "0.25", "0.25"]}),
 ]
 
 

@@ -13,9 +13,11 @@ from oavl.model import (
     similarity_matrix,
     total_loss,
 )
-from oavl.nn import Tensor, finite_difference_check
+from oavl.nn import Tensor
 from oavl.scores import sample_record
 from oavl.seeding import make_rng
+
+from gradcheck import finite_difference_check
 
 VOCAB = build_vocabulary()
 

@@ -14,8 +14,9 @@ from oavl.nn import (
     ShapeError,
     Tensor,
     adam_step,
-    finite_difference_check,
 )
+
+from gradcheck import finite_difference_check
 
 SEEDS = list(range(20))
 

@@ -393,6 +393,10 @@ class TestGenerateDataset:
         assert split_counts(100, (0.81, 0.09, 0.10)) == (81, 9, 10)
         assert split_counts(2472, (0.81, 0.09, 0.10)) == (2002, 222, 248)
 
+    def test_split_counts_reject_a_nan_ratio(self):
+        with pytest.raises(ValueError, match=r"ratios must be finite, .* got \(nan, 0\.5, 0\.5\)"):
+            split_counts(100, (np.nan, 0.5, 0.5))
+
     def test_generate_small_dataset(self, tmp_path):
         cfg = SynthConfig(seed=9)
         manifest = generate_dataset(60, cfg, str(tmp_path / "d"), (0.81, 0.09, 0.10))
