@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .scores import (
 )
 
 DEFAULT_MAX_LEN = 96
+
+# Sentences whose token ids a Vocabulary memoizes; the grammar renders fewer
+# than half as many, so text from outside it cannot grow the memo unbounded.
+SENTENCE_MEMO_CAP = 8192
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -232,12 +236,22 @@ class Vocabulary:
     def __init__(self, tokens: Tuple[str, ...]):
         self.tokens = tokens
         self._indices = {token: i for i, token in enumerate(tokens)}
+        self._sentences: Dict[str, Tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def index(self, token: str) -> int:
         return self._indices.get(token, self.unk_index)
+
+    def sentence_ids(self, sentence: str) -> Tuple[int, ...]:
+        """The ids of a text's tokens, memoized for the first SENTENCE_MEMO_CAP texts."""
+        ids = self._sentences.get(sentence)
+        if ids is None:
+            ids = tuple(self.index(w) for w in split_text(sentence))
+            if len(self._sentences) < SENTENCE_MEMO_CAP:
+                self._sentences[sentence] = ids
+        return ids
 
 
 def build_vocabulary() -> Vocabulary:
@@ -259,7 +273,16 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> np
     """Fixed-length index sequence: truncated to ``max_len``, right-padded."""
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
-    words = split_text(text)[:max_len]
-    indices = [vocab.index(w) for w in words]
-    indices.extend([vocab.pad_index] * (max_len - len(indices)))
+    # no token spans ". " or the final ".", so the ids are each sentence's,
+    # from the memo, with the period's after each
+    period = vocab.index(".")
+    closed = text.endswith(".")
+    indices: List[int] = []
+    for sentence in (text[:-1] if closed else text).split(". "):
+        indices += vocab.sentence_ids(sentence)
+        indices.append(period)
+    if not closed:
+        indices.pop()
+    del indices[max_len:]
+    indices += [vocab.pad_index] * (max_len - len(indices))
     return np.asarray(indices, dtype=np.int64)

@@ -244,8 +244,11 @@ def _cmd_train(args, config) -> int:
 def _load_eval_inputs(args):
     from .captions import build_vocabulary
     from .synth import read_manifest
-    from .training import load_checkpoint
+    from .training import _keep_freed_heap, load_checkpoint
 
+    # eval and saliency free and re-allocate the same encoder buffers per
+    # batch and per map, as a train step does
+    _keep_freed_heap()
     checkpoint = load_checkpoint(args.checkpoint)
     manifest = read_manifest(args.manifest)
     vocab = build_vocabulary()

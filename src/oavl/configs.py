@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Type
+from typing import Callable, Type
 
 
 def is_json_type(value, *kinds: type) -> bool:
@@ -23,8 +23,16 @@ def check_field_types(config, error: Type[ValueError]) -> None:
             raise error(f"{f.name} must be {kind.__name__}, got {value!r}")
 
 
-def check_json_keys(cls, obj: dict) -> None:
-    """Raise ValueError unless the JSON object holds exactly ``cls``'s fields.
+def _config_key_error(key: str, problem: str) -> ValueError:
+    return ValueError(f"{problem} config key {key!r}")
+
+
+def check_json_keys(
+    cls, obj: dict, error: Callable[[str, str], Exception] = _config_key_error
+) -> None:
+    """Raise ``error(key, problem)`` unless the JSON object holds exactly
+    ``cls``'s fields: the first unknown key in sorted order ("unknown"), else
+    the first missing field in field order ("missing").
 
     A missing field is refused, not filled with its default: a checkpoint
     holds every field, and a default differing from the saved run's value
@@ -33,7 +41,7 @@ def check_json_keys(cls, obj: dict) -> None:
     names = [f.name for f in fields(cls)]
     extra = set(obj) - set(names)
     if extra:
-        raise ValueError(f"unknown config key {sorted(extra)[0]!r}")
+        raise error(sorted(extra)[0], "unknown")
     missing = [name for name in names if name not in obj]
     if missing:
-        raise ValueError(f"missing config key {missing[0]!r}")
+        raise error(missing[0], "missing")

@@ -144,7 +144,7 @@ class DualEncoder:
 
     def _conv_block(self, x: Tensor, name: str, stride: int) -> Tensor:
         weight, bias = self._params[name + ".weight"], self._params[name + ".bias"]
-        return nn.relu(nn.conv2d(x, weight, bias, stride=stride))
+        return nn.conv2d(x, weight, bias, stride=stride)
 
     def image_features(self, images: np.ndarray) -> Tensor:
         """Final conv-stage activations [N, h, w, C3] of [N, H, W] images."""

@@ -9,10 +9,11 @@ when it may share memory with the output gradient it came from, so no two
 tensors share a buffer. A
 Parameter is a leaf Tensor that also holds its Adam state, so ops take it
 directly. Spatial data is channels-last [N, H, W, C]: images as they are,
-captions as one-row images [N, 1, L, D], so one conv2d serves both
-encoders; it reads its padded input and writes its input gradient through
-one window view. Adam and l2_normalize use fixed constants, the Kingma-Ba
-defaults: beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
+captions as one-row images [N, 1, L, D], so one conv2d, relu included,
+serves both encoders; it reads its padded input through a window view and
+adds its input gradient into stride-phase planes. Adam and l2_normalize use
+fixed constants, the Kingma-Ba defaults: beta1 = 0.9, beta2 = 0.999 and
+eps = 1e-8.
 """
 
 from __future__ import annotations
@@ -218,13 +219,6 @@ def transpose(a: TensorLike) -> Tensor:
     return _op(at.data.T, (at,), (lambda g: g.T,))
 
 
-def relu(a: TensorLike) -> Tensor:
-    at = as_tensor(a)
-    mask = at.data > 0
-    _record_branch(mask)
-    return _op(np.maximum(at.data, 0), (at,), (lambda g: g * mask,))
-
-
 def exp(a: TensorLike) -> Tensor:
     at = as_tensor(a)
     value = np.exp(at.data)
@@ -298,8 +292,8 @@ def _windows(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 
 
 def conv2d(x: TensorLike, kernel: TensorLike, bias: TensorLike, stride: int = 1) -> Tensor:
-    """Cross-correlation of channels-last [N, H, W, C] with [C_out, C_in, kh, kw],
-    plus a bias [C_out].
+    """relu of the cross-correlation of channels-last [N, H, W, C] with
+    [C_out, C_in, kh, kw], plus a bias [C_out].
 
     Zero padding of (kh // 2, kw // 2) on each side centres odd kernels, so a
     stride-1 layer keeps H and W. The output is channels-last too.
@@ -316,8 +310,7 @@ def conv2d(x: TensorLike, kernel: TensorLike, bias: TensorLike, stride: int = 1)
     if bt.shape != (c_out,):
         raise ShapeError(f"conv2d bias shape {bt.shape} does not match {c_out} output channels")
     ph, pw = kh // 2, kw // 2
-    padded_shape = (n, h + 2 * ph, w + 2 * pw, c)
-    xp = np.zeros(padded_shape, dtype=xt.dtype)
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=xt.dtype)
     xp[:, ph : ph + h, pw : pw + w] = xt.data
     windows = _windows(xp, kh, kw, stride)
     _, h_out, w_out = windows.shape[:3]
@@ -327,24 +320,46 @@ def conv2d(x: TensorLike, kernel: TensorLike, bias: TensorLike, stride: int = 1)
     k_flat = kt.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c)
     y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out)
     y += bt.data
+    mask = y > 0
+    _record_branch(mask)
+    np.maximum(y, 0, out=y)
+    g_relu = None
+
+    def through_relu(g):
+        # relu's rule, computed once for the three parents' rules
+        nonlocal g_relu
+        if g_relu is None:
+            g_relu = g * mask
+        return g_relu
+
+    # the padded input gradient as s x s stride-phase planes (Shi et al.
+    # 2016): padded row r is row r // s of phase r % s, and so for columns
+    s = stride
+    planes_shape = (s, s, n, -(-xp.shape[1] // s), -(-xp.shape[2] // s), c)
 
     def d_x(g):
-        # one GEMM per kernel tap, added in (i, j) order through the forward's
-        # window view into a zeroed padded buffer; the interior is the gradient
-        g_flat = g.reshape(n * h_out * w_out, c_out)
-        dxp = np.zeros(padded_shape, dtype=xt.dtype)
-        windows = _windows(dxp, kh, kw, stride)
+        # one GEMM per kernel tap, added in (i, j) order into the zeroed
+        # planes; a tap lands in one phase, as one contiguous block
+        g_flat = through_relu(g).reshape(n * h_out * w_out, c_out)
+        planes = np.zeros(planes_shape, xt.dtype)
         for i in range(kh):
             for j in range(kw):
-                tap = g_flat @ kt.data[:, :, i, j]
-                windows[:, :, :, i, j] += tap.reshape(n, h_out, w_out, c)
-        return dxp[:, ph : ph + h, pw : pw + w]
+                tap = (g_flat @ kt.data[:, :, i, j]).reshape(n, h_out, w_out, c)
+                planes[i % s, j % s, :, i // s : i // s + h_out, j // s : j // s + w_out] += tap
+        # input row y is padded row y + ph: rows a, a + s, ... share a phase
+        dx = np.empty((n, h, w, c), xt.dtype)
+        for a in range(s):
+            for b in range(s):
+                part = dx[:, a::s, b::s]
+                (r, pa), (q, pb) = divmod(a + ph, s), divmod(b + pw, s)
+                part[...] = planes[pa, pb, :, r : r + part.shape[1], q : q + part.shape[2]]
+        return dx
 
     def d_kernel(g):
-        g_flat = g.reshape(n * h_out * w_out, c_out)
+        g_flat = through_relu(g).reshape(n * h_out * w_out, c_out)
         return (g_flat.T @ cols).reshape(c_out, kh, kw, c).transpose(0, 3, 1, 2)
 
-    return _op(y, (xt, kt, bt), (d_x, d_kernel, lambda g: g))
+    return _op(y, (xt, kt, bt), (d_x, d_kernel, through_relu))
 
 
 def linear(x: TensorLike, weight: TensorLike, bias: TensorLike) -> Tensor:

@@ -14,7 +14,7 @@ from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
-from .configs import is_json_type
+from .configs import check_json_keys, is_json_type
 
 GRADE_MIN = 0
 GRADE_MAX = 4
@@ -113,12 +113,7 @@ class OaScoreRecord:
     def from_json_dict(cls, obj: dict) -> "OaScoreRecord":
         if not isinstance(obj, dict):
             raise ScoreValidationError("record", "expected a JSON object")
-        for name in _RECORD_FIELDS:
-            if name not in obj:
-                raise ScoreValidationError(name, "missing key")
-        extra = obj.keys() - _RECORD_FIELDS
-        if extra:
-            raise ScoreValidationError(sorted(extra)[0], "unknown key")
+        check_json_keys(cls, obj, lambda key, problem: ScoreValidationError(key, f"{problem} key"))
         record = validate_record(cls(**obj))
         # the maps are known to be dicts only now; copy them so the record
         # does not alias the caller's JSON
@@ -236,8 +231,15 @@ def sample_record(rng: np.random.Generator, record_id: str = "sample") -> OaScor
     return validate_record(record)
 
 
+# per grade, the grades at least 2 levels away from it
+_FAR_GRADES = tuple(
+    tuple(v for v in range(GRADE_MIN, GRADE_MAX + 1) if abs(v - g) >= 2)
+    for g in range(GRADE_MIN, GRADE_MAX + 1)
+)
+
+
 def _perturbed_grade(g: int, rng: np.random.Generator) -> int:
-    allowed = [v for v in range(GRADE_MIN, GRADE_MAX + 1) if abs(v - g) >= 2]
+    allowed = _FAR_GRADES[g - GRADE_MIN]
     return allowed[int(rng.integers(0, len(allowed)))]
 
 

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oavl import captions
 from oavl.captions import (
     CaptionParseError,
     TEMPLATE_ORDER,
@@ -229,3 +231,61 @@ class TestTokenizer:
     def test_unknown_word_maps_to_unk(self, vocab):
         tokens = tokenize("zebra osteoarthritis.", vocab, max_len=4)
         assert tokens[0] == vocab.unk_index
+
+
+def tokenize_oracle(text, vocab, max_len):
+    """tokenize without its sentence memo: split the whole text, look up each
+    word, cut to max_len and pad."""
+    words = split_text(text)[:max_len]
+    indices = [vocab.index(w) for w in words]
+    indices.extend([vocab.pad_index] * (max_len - len(indices)))
+    return np.asarray(indices, dtype=np.int64)
+
+
+@st.composite
+def template_texts(draw):
+    """Any template of a sampled record or of its negative, with zero grades
+    and demographics on or off, plain or shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    record = sample_record(rng)
+    if draw(st.booleans()):
+        record = perturb_negative(record, rng)
+    kind = draw(st.sampled_from(TEMPLATE_ORDER))
+    text = render_caption(record, kind, draw(st.booleans()), draw(st.booleans()))
+    return shuffle_sentences(text, rng) if draw(st.booleans()) else text
+
+
+ODD_TEXTS = [
+    "", ".", "x. . y.", ". .", "no osteoarthritis", "mild osteoarthritis.. knee is varus",
+    "early\tosteoarthritis.\nknee is varus. ", "SEVERE Osteoarthritis. KNEE IS VALGUS.",
+    "ΑΣ. Β", "ΑΣ.", "zebra osteoarthritis. quokka.",
+]
+ARBITRARY_TEXTS = st.one_of(
+    st.sampled_from(ODD_TEXTS),
+    st.text(alphabet=st.sampled_from(list("aeknos .,:\t\nAΣİ")), max_size=40),
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(template_texts(), ARBITRARY_TEXTS), max_len=st.sampled_from([1, 8, 96, 130]))
+def test_tokenize_equals_the_whole_text_oracle_bit_for_bit(vocab, text, max_len):
+    expected = tokenize_oracle(text, vocab, max_len)
+    # the first call may fill the memo, the second reads it
+    for _ in range(2):
+        tokens = tokenize(text, vocab, max_len)
+        assert tokens.dtype == np.int64 and tokens.shape == (max_len,)
+        assert tokens.tobytes() == expected.tobytes()
+
+
+def test_sentence_memo_stops_growing_at_its_cap():
+    vocab = build_vocabulary()
+    cap = captions.SENTENCE_MEMO_CAP
+    texts = [f"mild osteoarthritis {i}." for i in range(cap + 50)]
+    for text in texts:
+        tokenize(text, vocab, 8)
+    assert len(vocab._sentences) == cap
+    # past the cap, sentences are still tokenized, only not kept
+    for text in texts[-3:] + texts[:3]:
+        assert tokenize(text, vocab, 8).tobytes() == tokenize_oracle(text, vocab, 8).tobytes()
+    assert len(vocab._sentences) == cap

@@ -16,6 +16,7 @@ import oavl
 from oavl import training
 from oavl.captions import split_text
 from oavl.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from oavl.model import DualEncoder
 from oavl.synth import SynthConfig, read_manifest, read_pgm
 from oavl.training import (
     CHECKPOINT_MAGIC,
@@ -485,6 +486,33 @@ class TestEvalAndSaliency:
         )
         assert code == EXIT_OK
         assert (out / "saliency" / f"{record_id}.pgm").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "saliency"])
+    def test_keeps_freed_heap_before_the_first_encode(
+        self, command, dataset_dir, trained, tmp_path, monkeypatch
+    ):
+        events = []
+
+        def recording(name, method):
+            def wrapper(self, *args, **kwargs):
+                events.append(name)
+                return method(self, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(training, "_keep_freed_heap", lambda: events.append("heap"))
+        for name in ("image_features", "encode_text"):
+            monkeypatch.setattr(DualEncoder, name, recording(name, getattr(DualEncoder, name)))
+        manifest = str(dataset_dir / "manifest.jsonl")
+        task = {
+            "eval": ["eval", "zero-shot"],
+            "saliency": ["saliency", "--id", read_manifest(manifest).entries[0].record.id,
+                         "--prompt", "severe osteoarthritis."],
+        }[command]
+        args = ["--checkpoint", str(trained[0]), "--manifest", manifest, "--out", str(tmp_path)]
+        assert main(task + args) == EXIT_OK
+        assert events[0] == "heap" and events.count("heap") == 1
+        assert {"image_features", "encode_text"} <= set(events)
 
     def test_overlong_saliency_prompt_is_validation_error(
         self, dataset_dir, trained, tmp_path, capsys

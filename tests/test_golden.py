@@ -5,9 +5,10 @@ perturbation changes a digest here even when every structural test still
 passes. A digest may change only with a deliberate change of output, and
 the change must say why.
 
-The model digests pin float bytes, so they hold for one numpy and BLAS
-build on one CPU family; a speed-up of the encoders or of Grad-CAM that
-keeps the same operands in the same order leaves them as they are.
+The model and training digests pin float bytes, so they hold for one
+numpy and BLAS build on one CPU family; a speed-up of the encoders, their
+gradients, Adam or Grad-CAM that keeps the same operands in the same order
+leaves them as they are.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ from oavl.model import DualEncoder, ModelConfig
 from oavl.scores import perturb_negative, sample_record, severity_signature
 from oavl.seeding import make_rng
 from oavl.synth import SynthConfig, generate_dataset, render_image
-from oavl.training import TrainConfig, _batch_tokens, epoch_plan, signature_groups
+from oavl.training import TrainConfig, _batch_tokens, epoch_plan, signature_groups, train_step
 
 N_RECORDS = 200
 
@@ -163,3 +164,29 @@ def test_model_outputs(model_outputs, output):
         digest.update(repr((array.dtype.str, array.shape)).encode("utf-8"))
         digest.update(np.ascontiguousarray(array).tobytes())
     assert digest.hexdigest() == MODEL_DIGESTS[output]
+
+
+# a seeded default-size DualEncoder after three train_steps on one batch of
+# fit's first epoch, its captions drawn for epochs 0-2: dtype, shape and
+# bytes of every parameter's value and Adam moments m and v
+TRAINING_DIGEST = "36bdffd539f268ffa904439541a88f46f3465e2a5e71ebe8f8d0044c903315bb"
+
+
+def test_training_steps(records):
+    cfg = TrainConfig(batch_size=32, seed=3)
+    vocab = build_vocabulary()
+    model = DualEncoder(ModelConfig(vocab_size=len(vocab)), seed=4)
+    batch = epoch_plan(signature_groups(records), cfg, make_rng(cfg.seed, "plan", 0))[0]
+    images = np.stack(
+        [render_image(item.record, SynthConfig(), seed=i) for i, item in enumerate(batch)]
+    )
+    for epoch in range(3):
+        pos, neg = _batch_tokens(batch, cfg, vocab, DEFAULT_MAX_LEN, epoch)
+        train_step(model, images, pos, neg, cfg)
+    digest = hashlib.sha256()
+    for name, p in model.parameters().items():
+        assert p.t == 3
+        for array in (p.data, p.m, p.v):
+            digest.update(repr((name, array.dtype.str, array.shape)).encode("utf-8"))
+            digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == TRAINING_DIGEST

@@ -54,13 +54,13 @@ class TestForward:
         x = rng.standard_normal((2, 5, 5, 3))
         kernel = np.ones((1, 3, 1, 1))
         y = nn.conv2d(Tensor(x), Tensor(kernel), Tensor(np.array([0.5])), stride=1)
-        assert np.allclose(y.data[..., 0], x.sum(axis=-1) + 0.5)
+        assert np.allclose(y.data[..., 0], np.maximum(x.sum(axis=-1) + 0.5, 0))
 
     def test_conv_zero_kernel(self):
         bias = np.array([1.0, -2.0, 0.25])
         y = nn.conv2d(np.ones((1, 4, 4, 2)), np.zeros((3, 2, 3, 3)), bias, stride=1)
         assert y.shape == (1, 4, 4, 3)
-        assert np.array_equal(y.data, np.broadcast_to(bias, y.shape))
+        assert np.array_equal(y.data, np.broadcast_to(np.maximum(bias, 0), y.shape))
 
     def test_conv_output_shape_formula(self):
         y = nn.conv2d(np.zeros((1, 11, 9, 1)), np.zeros((2, 1, 3, 3)), np.zeros(2), stride=2)
@@ -93,7 +93,7 @@ class TestForward:
                                         expected[b, oy, ox, o] += x[b, yy, xj, ci] * k[o, ci, i, j]
         y = nn.conv2d(x, k, bias, stride=stride)
         assert y.shape == expected.shape
-        assert np.allclose(y.data, expected, atol=1e-12)
+        assert np.allclose(y.data, np.maximum(expected, 0), atol=1e-12)
 
     def test_conv_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channel"):
@@ -140,9 +140,12 @@ class TestForward:
         assert x.grad[1].tobytes() == expected.tobytes()
 
     def test_relu_idempotent(self):
-        x = np.random.default_rng(1).standard_normal((4, 5))
-        once = nn.relu(Tensor(x)).data
-        twice = nn.relu(nn.relu(Tensor(x))).data
+        # conv2d's relu: a 1x1 identity kernel with zero bias is relu alone
+        x = np.random.default_rng(1).standard_normal((2, 4, 5, 3))
+        identity, zero = np.eye(3)[:, :, None, None], np.zeros(3)
+        once = nn.conv2d(x, identity, zero).data
+        twice = nn.conv2d(once, identity, zero).data
+        assert np.array_equal(once, np.maximum(x, 0))
         assert np.array_equal(once, twice)
 
     def test_mean_pool_of_constant(self):
@@ -302,8 +305,12 @@ def _case_transpose(rng):
 
 
 def _case_relu(rng):
-    a = Tensor(away_from_zero(rng.standard_normal((3, 4))), requires_grad=True)
-    return [a], lambda: weighted_sum(nn.relu(a), np.random.default_rng(0))
+    # conv2d's relu on pre-activations that straddle 0, each at least 0.2 from
+    # the kink: a 1x1 identity kernel and zero bias pass the input through
+    x = Tensor(away_from_zero(rng.standard_normal((2, 3, 4, 3))), requires_grad=True)
+    k = Tensor(np.eye(3)[:, :, None, None], requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    return [x, k, b], lambda: weighted_sum(nn.conv2d(x, k, b), np.random.default_rng(0))
 
 
 def _case_exp(rng):
@@ -603,14 +610,14 @@ def test_train_step_gradients_have_their_own_buffers(monkeypatch):
 
 
 def small_network(seed=12):
-    """(loss, leaves): conv, relu, pooling, a linear head, l2_normalize and
+    """(loss, leaves): conv with its relu, pooling, a linear head, l2_normalize and
     softmax cross-entropy, every op a parameter gradient passes through."""
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal((2, 5, 5, 3)))
     kernel = Parameter(rng.standard_normal((4, 3, 3, 3)))
     bias = Parameter(rng.standard_normal(4))
     weight = Parameter(rng.standard_normal((4, 3)))
-    hidden = nn.mean_pool(nn.relu(nn.conv2d(x, kernel, bias, stride=2)))
+    hidden = nn.mean_pool(nn.conv2d(x, kernel, bias, stride=2))
     logits = nn.mul(nn.l2_normalize(nn.matmul(hidden, weight)), nn.exp(Tensor(1.5)))
     return nn.softmax_cross_entropy(logits, np.array([0, 2])), (kernel, bias, weight)
 
@@ -659,7 +666,8 @@ def test_a_second_sweep_raises_and_leaves_every_gradient_as_it_was():
 
 def _conv2d_oracle(x, k, b, stride, g):
     """Output, kernel, bias and input gradients of conv2d by im2col in the
-    kernel's own (C, kh, kw) order, scattered back slice by slice."""
+    kernel's own (C, kh, kw) order, scattered back slice by slice: relu of
+    the linear output, and the gradients of g masked where it is not > 0."""
     n, h, w, c = x.shape
     c_out, _, kh, kw = k.shape
     ph, pw = kh // 2, kw // 2
@@ -670,6 +678,7 @@ def _conv2d_oracle(x, k, b, stride, g):
     cols = np.ascontiguousarray(windows[:, :h_out, :w_out]).reshape(-1, c * kh * kw)
     k_flat = k.reshape(c_out, -1)
     y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out) + b
+    g = g * (y > 0)
     g_flat = g.reshape(-1, c_out)
     d_kernel = (g_flat.T @ cols).reshape(k.shape)
     d_cols = (g_flat @ k_flat).reshape(n, h_out, w_out, c, kh, kw)
@@ -679,7 +688,7 @@ def _conv2d_oracle(x, k, b, stride, g):
             dxp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += d_cols[
                 ..., i, j
             ]
-    return y, d_kernel, g.sum(axis=(0, 1, 2)), dxp[:, ph : ph + h, pw : pw + w]
+    return np.maximum(y, 0), d_kernel, g.sum(axis=(0, 1, 2)), dxp[:, ph : ph + h, pw : pw + w]
 
 
 # The default ModelConfig's four conv layers at batch 2: image.conv1-3 on a
@@ -731,9 +740,10 @@ def test_embedding_gradient_matches_add_at(held):
 def _conv2d_window_reference(x, k, b, stride, g):
     """conv2d's output and kernel, bias and input gradients from np.pad and
     sliding_window_view, with the same (kh, kw, C) columns and GEMMs: the
-    bias added as a separate node added it, the bias gradient reduced as that
-    node's _unbroadcast reduced it, and each tap added into a zeroed padded
-    input gradient that is cropped at the end."""
+    bias added as a separate node added it, relu applied as a separate node
+    applied it, the gradients taken from g masked as that node masked it, the
+    bias gradient reduced as _unbroadcast reduced it, and each tap added into
+    a zeroed padded input gradient that is cropped at the end."""
     n, h, w, c = x.shape
     c_out, _, kh, kw = k.shape
     ph, pw = kh // 2, kw // 2
@@ -746,6 +756,7 @@ def _conv2d_window_reference(x, k, b, stride, g):
     ).reshape(-1, kh * kw * c)
     k_flat = k.transpose(0, 2, 3, 1).reshape(c_out, -1)
     y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out) + b
+    g = g * (y > 0)
     g_flat = g.reshape(-1, c_out)
     d_kernel = (g_flat.T @ cols).reshape(c_out, kh, kw, c).transpose(0, 3, 1, 2)
     d_bias = g.sum(axis=0).sum(axis=0).sum(axis=0)
@@ -755,7 +766,7 @@ def _conv2d_window_reference(x, k, b, stride, g):
             dxp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
                 g_flat @ k[:, :, i, j]
             ).reshape(n, h_out, w_out, c)
-    return y, d_kernel, d_bias, dxp[:, ph : ph + h, pw : pw + w]
+    return np.maximum(y, 0), d_kernel, d_bias, dxp[:, ph : ph + h, pw : pw + w]
 
 
 def _assert_conv2d_equals_window_reference(x_shape, k_shape, stride, dtype, seed):
@@ -788,9 +799,9 @@ def _assert_conv2d_equals_window_reference(x_shape, k_shape, stride, dtype, seed
 def test_conv2d_equals_window_view_reference_bit_for_bit(
     n, h, w, c, c_out, kh, kw, stride, dtype, seed
 ):
-    # conv2d reads its input and writes its input gradient through one
-    # window view over a padded buffer; np.ndarray checks that view's extent,
-    # so a wrong shape or stride raises, and this pins every value it moves
+    # conv2d reads its input through a window view over a padded buffer, and
+    # adds its input gradient into stride-phase planes of that buffer; the
+    # reference adds into the padded buffer itself, and this pins every value
     _assert_conv2d_equals_window_reference((n, h, w, c), (c_out, c, kh, kw), stride, dtype, seed)
 
 

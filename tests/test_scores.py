@@ -94,6 +94,15 @@ class TestValidation:
             OaScoreRecord.from_json_dict(obj)
         assert exc.value.field == "sex"
 
+    def test_json_unknown_key_reported_before_a_missing_one(self):
+        # the order configs.check_json_keys gives every JSON reader
+        obj = make_record().to_json_dict()
+        del obj["sex"]
+        obj["bogus"] = 1
+        with pytest.raises(ScoreValidationError, match="^bogus: unknown key$") as exc:
+            OaScoreRecord.from_json_dict(obj)
+        assert exc.value.field == "bogus"
+
     def test_json_record_does_not_alias_its_source(self):
         obj = make_record().to_json_dict()
         record = OaScoreRecord.from_json_dict(obj)

@@ -245,6 +245,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             TrainConfig.from_json_dict({"lr": 1.0})
 
+    def test_unknown_key_reported_before_a_missing_one(self):
+        obj = TrainConfig().to_json_dict()
+        del obj["shuffle_prob"], obj["seed"]
+        with pytest.raises(ValueError, match="^missing config key 'shuffle_prob'$"):
+            TrainConfig.from_json_dict(obj)
+        obj["lr"] = 1.0
+        with pytest.raises(ValueError, match="^unknown config key 'lr'$"):
+            TrainConfig.from_json_dict(obj)
+
 
 class TestFit:
     def test_zero_epochs_keeps_initialization(self, small_dataset):
