@@ -4,18 +4,25 @@ Each epoch keeps one representative per severity signature (so a batch
 never contrasts two items with identical scores), samples one template
 style per item, optionally shuffles its sentences, pairs it with a freshly
 perturbed negative caption, and applies per-group Adam learning rates.
+
+A checkpoint (format version 2) is the magic ``OAVL0002``, a u32 header
+length, a sorted-key JSON header (``epoch``, the ``model`` and ``train``
+configs, and ``steps``: each parameter's integer Adam step count), the
+float32 values of every slot in ``_checkpoint_slots`` order, back to back,
+and one CRC32 of all bytes between the magic and itself. Integers are
+little-endian. The config fixes every slot's name and shape, so the
+payload stores values only.
 """
 
 from __future__ import annotations
 
 import ctypes
-import io
 import json
 import math
-import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,10 +43,7 @@ from .scores import OaScoreRecord, perturb_negative, severity_signature
 from .seeding import make_rng
 from .synth import DatasetManifest, ManifestEntry, pgm_to_float, read_pgm_samples, write_atomic
 
-CHECKPOINT_MAGIC = b"OAVL0001"
-CHECKPOINT_VERSION = 1
-_DTYPE_F32 = 0
-_DTYPE_U8 = 1
+CHECKPOINT_MAGIC = b"OAVL0002"
 
 
 class TrainingError(RuntimeError):
@@ -380,136 +384,92 @@ class Checkpoint:
     epoch: int
 
 
-def _serialize_tensor(out: io.BytesIO, name: str, payload: bytes, dtype: int, dims: Sequence[int]) -> None:
-    encoded = name.encode("utf-8")
-    out.write(struct.pack("<H", len(encoded)))
-    out.write(encoded)
-    out.write(struct.pack("<BB", dtype, len(dims)))
-    for dim in dims:
-        out.write(struct.pack("<I", dim))
-    out.write(payload)
-
-
-# (tensor-name suffix, Parameter attribute) of each parameter's Adam state;
-# the step count t is stored as a float32 tensor of shape (1,)
-_OPTIM_SLOTS = ((".m", "m"), (".v", "v"), (".t", "t"))
-
-
 def _checkpoint_slots(cfg: ModelConfig) -> List[Tuple[str, str, str, Tuple[int, ...]]]:
-    """(tensor name, parameter name, attribute, dims) per saved slot, in file order.
+    """(slot name, parameter name, attribute, shape) per payload slot, in file order.
 
-    Every parameter's value first, then each parameter's Adam state in turn.
+    Every parameter's value first, then each parameter's Adam m and v in turn.
     """
     shapes = parameter_shapes(cfg)
     slots = [(name, name, "data", shape) for name, shape in shapes.items()]
     for name, shape in shapes.items():
-        slots += [
-            (f"optim.{name}{suffix}", name, attr, (1,) if attr == "t" else shape)
-            for suffix, attr in _OPTIM_SLOTS
-        ]
+        slots += [(f"optim.{name}.{attr}", name, attr, shape) for attr in ("m", "v")]
     return slots
 
 
 def save_checkpoint(path: str, model: DualEncoder, cfg: TrainConfig, epoch: int) -> None:
-    """Write the binary checkpoint atomically: magic, version, tensors, payload CRC32."""
+    """Write the checkpoint atomically, in the format the module docstring gives."""
     params = model.parameters()
-    tensors = [
-        (key, np.asarray(getattr(params[name], attr), dtype="<f4").tobytes(), _DTYPE_F32, dims)
-        for key, name, attr, dims in _checkpoint_slots(model.cfg)
-    ]
-    meta = {
+    header = {
         "epoch": epoch,
         "model": model.cfg.to_json_dict(),
+        "steps": {name: p.t for name, p in params.items()},
         "train": cfg.to_json_dict(),
     }
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tensors.append(("meta.config_json", meta_bytes, _DTYPE_U8, (len(meta_bytes),)))
-
-    out = io.BytesIO()
-    out.write(CHECKPOINT_MAGIC)
-    out.write(struct.pack("<I", CHECKPOINT_VERSION))
-    out.write(struct.pack("<I", len(tensors)))
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    parts = [struct.pack("<I", len(encoded)), encoded]
+    parts += [
+        np.ascontiguousarray(getattr(params[name], attr), dtype="<f4")
+        for _slot, name, attr, _shape in _checkpoint_slots(model.cfg)
+    ]
     crc = 0
-    for name, payload, dtype, dims in tensors:
-        _serialize_tensor(out, name, payload, dtype, dims)
-        crc = zlib.crc32(payload, crc)
-    out.write(struct.pack("<I", crc & 0xFFFFFFFF))
-    write_atomic(path, out.getvalue())
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    write_atomic(path, b"".join([CHECKPOINT_MAGIC, *parts, struct.pack("<I", crc)]))
 
 
-def _read_checkpoint_tensors(path: str) -> Dict[str, Tuple[int, Tuple[int, ...], bytes]]:
-    """Parse and CRC-verify the file; returns tensors by name, in file order."""
+def _read_checkpoint(path: str):
+    """Verify the file; returns (model config, train config, epoch, step counts,
+    and (slot, parameter, attribute, shape, bytes) per payload slot)."""
     with open(path, "rb") as fh:
-        file_size = os.fstat(fh.fileno()).st_size
-
-        def read(count: int) -> bytes:
-            # checked before reading, so corrupt dims never reach read()
-            if count > file_size - fh.tell():
-                raise CheckpointError("truncated checkpoint")
-            return fh.read(count)
-
-        magic = read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"unsupported checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", read(4))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", read(4))
-        tensors: Dict[str, Tuple[int, Tuple[int, ...], bytes]] = {}
-        crc = 0
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", read(2))
-            try:
-                name = read(name_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CheckpointError("tensor name is not valid UTF-8") from exc
-            dtype, rank = struct.unpack("<BB", read(2))
-            dims = tuple(struct.unpack("<I", read(4))[0] for _ in range(rank))
-            if dtype == _DTYPE_F32:
-                payload = read(math.prod(dims) * 4)
-            elif dtype == _DTYPE_U8:
-                payload = read(math.prod(dims))
-            else:
-                raise CheckpointError(f"unknown tensor dtype {dtype}")
-            crc = zlib.crc32(payload, crc)
-            if name in tensors:
-                raise CheckpointError(f"tensor {name!r} is stored twice")
-            tensors[name] = (dtype, dims, payload)
-        (stored_crc,) = struct.unpack("<I", read(4))
-        if stored_crc != crc & 0xFFFFFFFF:
-            raise CheckpointError("checksum mismatch: checkpoint is corrupted")
-    return tensors
+        blob = fh.read()
+    if len(blob) < len(CHECKPOINT_MAGIC) + 8:
+        raise CheckpointError("truncated checkpoint")
+    magic = blob[: len(CHECKPOINT_MAGIC)]
+    if magic != CHECKPOINT_MAGIC:
+        numbered = magic.startswith(b"OAVL") and magic[4:].isdigit()
+        found = f"format version {int(magic[4:])}" if numbered else f"magic {magic!r}"
+        raise CheckpointError(
+            f"unsupported checkpoint {found}: this build reads format version "
+            f"{int(CHECKPOINT_MAGIC[4:])}"
+        )
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    payload_at = 12 + header_len
+    if payload_at > len(blob) - 4:
+        raise CheckpointError("truncated checkpoint")
+    view = memoryview(blob)
+    if zlib.crc32(view[8:-4]) != struct.unpack_from("<I", blob, len(blob) - 4)[0]:
+        raise CheckpointError("checksum mismatch: checkpoint is corrupted")
+    try:
+        header = json.loads(blob[12:payload_at].decode("utf-8"))
+        model_cfg = ModelConfig.from_json_dict(header["model"])
+        train_cfg = TrainConfig.from_json_dict(header["train"])
+        epoch, steps = header["epoch"], header["steps"]
+        if not is_json_type(epoch, int) or epoch < 0:
+            raise ValueError(f"epoch must be a whole number >= 0, got {epoch!r}")
+        if not isinstance(steps, dict) or steps.keys() != parameter_shapes(model_cfg).keys():
+            raise ValueError("steps must map each parameter name to its step count")
+        for name, t in steps.items():
+            if not is_json_type(t, int) or t < 0:
+                raise ValueError(f"step count of {name!r} must be a whole number >= 0, got {t!r}")
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        raise CheckpointError(f"malformed checkpoint config: {exc!r}") from exc
+    # the config fixes the payload's size, so a header declaring huge layers
+    # fails here, before anything is allocated
+    slots = _checkpoint_slots(model_cfg)
+    ends = list(accumulate((4 * math.prod(shape) for *_, shape in slots), initial=payload_at))
+    if ends[-1] != len(blob) - 4:
+        raise CheckpointError(
+            f"checkpoint payload holds {len(blob) - 4 - payload_at} bytes, "
+            f"its config implies {ends[-1] - payload_at}"
+        )
+    chunks = [(*slot, view[a:b]) for slot, a, b in zip(slots, ends, ends[1:])]
+    return model_cfg, train_cfg, epoch, steps, chunks
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read and verify a checkpoint; rejects bad magic, version, or checksum,
-    a tensor the config does not declare, and a config whose vocabulary is
-    not the caption grammar's."""
-    tensors = _read_checkpoint_tensors(path)
-    if "meta.config_json" not in tensors:
-        raise CheckpointError("checkpoint is missing its config")
-    try:
-        meta = json.loads(tensors["meta.config_json"][2].decode("utf-8"))
-        model_cfg = ModelConfig.from_json_dict(meta["model"])
-        train_cfg = TrainConfig.from_json_dict(meta["train"])
-        epoch = meta["epoch"]
-        if not is_json_type(epoch, int) or epoch < 0:
-            raise ValueError(f"epoch must be a whole number >= 0, got {epoch!r}")
-    except (ValueError, TypeError, KeyError, RecursionError) as exc:
-        raise CheckpointError(f"malformed checkpoint config: {exc!r}") from exc
-    # every stored shape is checked against the config before the model is
-    # built, so a config declaring a huge layer allocates nothing
-    slots = _checkpoint_slots(model_cfg)
-    for key, _name, _attr, dims in slots:
-        if key not in tensors:
-            raise CheckpointError(f"checkpoint is missing tensor {key!r}")
-        dtype, stored_dims, _payload = tensors[key]
-        if dtype != _DTYPE_F32 or stored_dims != dims:
-            raise CheckpointError(f"tensor {key!r} has unexpected dtype/shape")
-    declared = {key for key, _name, _attr, _dims in slots} | {"meta.config_json"}
-    for key in tensors:
-        if key not in declared:
-            raise CheckpointError(f"checkpoint holds undeclared tensor {key!r}")
+    """Read and verify a checkpoint: its magic, CRC, header and payload size,
+    and that its config's vocabulary is the caption grammar's."""
+    model_cfg, train_cfg, epoch, steps, chunks = _read_checkpoint(path)
     # token indices come from this build's caption vocabulary
     vocab_size = len(build_vocabulary())
     if model_cfg.pad_index != Vocabulary.pad_index or model_cfg.vocab_size != vocab_size:
@@ -519,23 +479,16 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"(vocab_size {vocab_size}, pad_index {Vocabulary.pad_index})"
         )
     model = DualEncoder(model_cfg, seed=train_cfg.seed)
-    for key, name, attr, dims in slots:
-        values = np.frombuffer(tensors[key][2], dtype="<f4").reshape(dims).astype(np.float32)
-        if attr == "t":
-            step = float(values[0])
-            if not (math.isfinite(step) and step >= 0 and step.is_integer()):
-                raise CheckpointError(
-                    f"tensor {key!r} holds step count {step!r}, not a whole number >= 0"
-                )
-            values = int(step)
+    for _slot, name, attr, shape, chunk in chunks:
+        values = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float32)
         setattr(model.param(name), attr, values)
+    for name, t in steps.items():
+        model.param(name).t = t
     return Checkpoint(model=model, train_config=train_cfg, epoch=epoch)
 
 
 def checkpoint_tensor_listing(path: str) -> List[Tuple[str, Tuple[int, ...], int]]:
-    """(name, dims, payload CRC32) per tensor, in file order; verifies the file."""
-    tensors = _read_checkpoint_tensors(path)
-    return [
-        (name, dims, zlib.crc32(payload) & 0xFFFFFFFF)
-        for name, (_dtype, dims, payload) in tensors.items()
-    ]
+    """(slot name, shape, CRC32 of its float32 bytes) per payload slot, in
+    file order; verifies the file."""
+    *_, chunks = _read_checkpoint(path)
+    return [(slot, shape, zlib.crc32(chunk)) for slot, _name, _attr, shape, chunk in chunks]

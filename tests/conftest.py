@@ -1,10 +1,13 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from oavl.scores import FEATURES, OaScoreRecord, validate_record
+from oavl.training import CHECKPOINT_MAGIC
 
 
 def make_record(
@@ -122,3 +125,20 @@ def malformed_manifests(draw, blob: bytes):
     obj = draw(broken_json_objects(json.loads(lines[row])))
     lines[row] = json.dumps(obj) + "\n"
     return "".join(lines).encode("utf-8")
+
+
+def checkpoint_parts(blob: bytes):
+    """A checkpoint's parsed JSON header and its payload bytes."""
+    (size,) = struct.unpack_from("<I", blob, 8)
+    return json.loads(blob[12 : 12 + size]), blob[12 + size : -4]
+
+
+def checkpoint_file(header, payload: bytes, header_len=None, magic=CHECKPOINT_MAGIC) -> bytes:
+    """Checkpoint bytes holding ``header`` (a dict, or raw bytes) and ``payload``,
+    with the CRC recomputed so that an edit reaches the parser instead of
+    failing the checksum. ``header_len`` overrides the stored header length."""
+    if isinstance(header, dict):
+        header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    length = len(header) if header_len is None else header_len
+    body = struct.pack("<I", length) + header + payload
+    return magic + body + struct.pack("<I", zlib.crc32(body))

@@ -173,21 +173,29 @@ def test_criterion_4_negative_sampling_rule():
 
 
 def test_criterion_5_bleu_oracle():
+    """Both BLEU-4 implementations against the oracle: ``bleu4``, and
+    ``bleu4_pairs``, which retrieval runs."""
     from oavl.captions import split_text
 
     hand = evaluation.bleu4(list("abcde"), list("abcdf"))
-    hand_ok = abs(hand - 0.2**0.25) <= 1e-12
+    hand_pairs = evaluation.bleu4_pairs([list("abcde"), list("abcdf")], [(0, 1)])[0]
+    hand_ok = all(abs(h - 0.2**0.25) <= 1e-12 for h in (hand, hand_pairs))
     rng = make_rng(505)
-    worst = 0.0
+    pool = []
     for _ in range(100):
-        a = split_text(render_caption(sample_record(rng), TemplateKind.LOCATION, True))
-        b = split_text(render_caption(sample_record(rng), TemplateKind.LOCATION, True))
-        worst = max(worst, abs(evaluation.bleu4(a, b) - oracle_bleu4(a, b)))
+        pool.append(split_text(render_caption(sample_record(rng), TemplateKind.LOCATION, True)))
+        pool.append(split_text(render_caption(sample_record(rng), TemplateKind.LOCATION, True)))
+    pairs = [(i, i + 1) for i in range(0, len(pool), 2)]
+    oracle = [oracle_bleu4(pool[c], pool[r]) for c, r in pairs]
+    worst = max(abs(evaluation.bleu4(pool[c], pool[r]) - o) for (c, r), o in zip(pairs, oracle))
+    scores = evaluation.bleu4_pairs(pool, pairs)
+    worst_pairs = max(abs(s - o) for s, o in zip(scores, oracle))
     _report(
         5,
         "BLEU oracle",
-        hand_ok and worst <= 1e-9,
-        f"hand case {hand:.6f}, max |impl - oracle| = {worst:.2e}",
+        hand_ok and max(worst, worst_pairs) <= 1e-9,
+        f"hand case {hand:.6f} (bleu4_pairs {hand_pairs:.6f}), max |impl - oracle| = "
+        f"{worst:.2e} (bleu4), {worst_pairs:.2e} (bleu4_pairs)",
     )
 
 

@@ -5,7 +5,6 @@ import shutil
 import struct
 import subprocess
 import sys
-import zlib
 from dataclasses import asdict
 
 import pytest
@@ -16,18 +15,17 @@ import oavl
 from oavl import training
 from oavl.captions import split_text
 from oavl.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from oavl.model import DualEncoder
+from oavl.model import DualEncoder, ModelConfig, parameter_shapes
 from oavl.synth import SynthConfig, read_manifest, read_pgm
-from oavl.training import (
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
-    TrainConfig,
-    _read_checkpoint_tensors,
-    _serialize_tensor,
-    load_checkpoint,
-)
+from oavl.training import TrainConfig, load_checkpoint, save_checkpoint
 
-from conftest import make_record, malformed_manifests, truncated
+from conftest import (
+    checkpoint_file,
+    checkpoint_parts,
+    make_record,
+    malformed_manifests,
+    truncated,
+)
 
 
 @pytest.fixture(scope="module")
@@ -603,33 +601,10 @@ class TestEvalAndSaliency:
         assert code == EXIT_IO
 
 
-def _write_checkpoint(dst, tensors):
-    """Write (name, (dtype, dims, payload)) pairs in order, with the tensor
-    count and the checksum computed over them."""
-    out = io.BytesIO()
-    out.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
-    crc = 0
-    for name, (dtype, dims, payload) in tensors:
-        _serialize_tensor(out, name, payload, dtype, dims)
-        crc = zlib.crc32(payload, crc)
-    dst.write_bytes(out.getvalue() + struct.pack("<I", crc))
-
-
-def _with_tensor(src, dst, name, dtype, dims, payload):
-    """Copy a checkpoint with one tensor replaced (or appended, for a new
-    name) and the checksum recomputed."""
-    tensors = _read_checkpoint_tensors(str(src))
-    tensors[name] = (dtype, dims, payload)
-    _write_checkpoint(dst, list(tensors.items()))
-
-
 def _with_meta(src, dst, edit):
-    """Copy a checkpoint with its config JSON edited and the checksum recomputed."""
-    meta = _read_checkpoint_tensors(str(src))["meta.config_json"][2]
-    meta = edit(json.loads(meta)) if callable(edit) else edit
-    if isinstance(meta, dict):
-        meta = json.dumps(meta).encode("utf-8")
-    _with_tensor(src, dst, "meta.config_json", 1, (len(meta),), meta)
+    """Copy a checkpoint with its JSON header edited and the checksum recomputed."""
+    meta, payload = checkpoint_parts(src.read_bytes())
+    dst.write_bytes(checkpoint_file(edit(meta) if callable(edit) else edit, payload))
 
 
 def _section(meta, path):
@@ -672,6 +647,10 @@ MALFORMED_CONFIGS = {
     "fractional-epoch": _set(2.5, "epoch"),
     "string-seed": _set("7", "train", "seed"),
     "infinite-lr": _set(float("inf"), "train", "lr_image"),
+    "missing-steps": _drop("steps"),
+    "list-steps": _set([], "steps"),
+    "missing-step": _drop("steps", "log_temperature"),
+    "unknown-step": _set(0, "steps", "text.bogus"),
 }
 
 
@@ -795,27 +774,17 @@ class TestMalformedCheckpoint:
         assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
         assert "malformed checkpoint config" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "dtype, dims, payload", [(0, (0,), b""), (1, (3,), b"abc")], ids=["empty-f32", "u8"]
-    )
-    def test_malformed_step_count_is_io_error(
-        self, dtype, dims, payload, dataset_dir, trained, tmp_path, capsys
-    ):
-        ckpt, _ = trained
-        bad = tmp_path / "bad.bin"
-        _with_tensor(ckpt, bad, "optim.log_temperature.t", dtype, dims, payload)
-        assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
-        assert "'optim.log_temperature.t' has unexpected dtype/shape" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -3.0, 2.5])
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -3.0, 2.5, -3, True, "7"])
     def test_bad_step_count_value_is_io_error(
         self, step, dataset_dir, trained, tmp_path, capsys
     ):
         ckpt, _ = trained
         bad = tmp_path / "bad.bin"
-        _with_tensor(ckpt, bad, "optim.log_temperature.t", 0, (1,), struct.pack("<f", step))
+        _with_meta(ckpt, bad, _set(step, "steps", "log_temperature"))
         assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
-        assert "'optim.log_temperature.t' holds step count" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed checkpoint config" in err
+        assert "step count of 'log_temperature'" in err
 
     def test_config_declaring_a_huge_vocabulary_is_io_error(
         self, dataset_dir, trained, tmp_path, capsys
@@ -824,80 +793,61 @@ class TestMalformedCheckpoint:
         bad = tmp_path / "bad.bin"
         _with_meta(ckpt, bad, _set(2**40, "model", "vocab_size"))
         assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
-        assert "'text.token_embedding' has unexpected dtype/shape" in capsys.readouterr().err
-
-    def test_repeated_tensor_is_io_error(self, dataset_dir, trained, tmp_path, capsys):
-        ckpt, _ = trained
-        tensors = list(_read_checkpoint_tensors(str(ckpt)).items())
-        dtype, dims, payload = dict(tensors)["image.conv1.bias"]
-        bad = tmp_path / "bad.bin"
-        _write_checkpoint(bad, tensors + [("image.conv1.bias", (dtype, dims, bytes(len(payload))))])
-        assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
-        assert main(["inspect", str(bad)]) == EXIT_IO
-        assert "'image.conv1.bias' is stored twice" in capsys.readouterr().err
-
-    def test_undeclared_tensor_is_io_error(self, dataset_dir, trained, tmp_path, capsys):
-        ckpt, _ = trained
-        bad = tmp_path / "bad.bin"
-        _with_tensor(ckpt, bad, "surprise", 0, (1,), bytes(4))
-        assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
-        assert "undeclared tensor 'surprise'" in capsys.readouterr().err
+        assert "checkpoint payload holds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["pad_index", "vocab_size"])
     def test_config_off_the_caption_vocabulary_is_io_error(
         self, field, dataset_dir, trained, tmp_path, capsys
     ):
         ckpt, _ = trained
-        tensors = _read_checkpoint_tensors(str(ckpt))
-        meta = json.loads(tensors["meta.config_json"][2])
+        meta, _payload = checkpoint_parts(ckpt.read_bytes())
         meta["model"][field] += 3
-        if field == "vocab_size":
-            # stored shapes that match the config, so only the vocabulary is off
-            for key in (
-                "text.token_embedding",
-                "optim.text.token_embedding.m",
-                "optim.text.token_embedding.v",
-            ):
-                dtype, (rows, dim), _payload = tensors[key]
-                tensors[key] = (dtype, (rows + 3, dim), bytes((rows + 3) * dim * 4))
-        blob = json.dumps(meta).encode("utf-8")
-        tensors["meta.config_json"] = (1, (len(blob),), blob)
+        # a payload that fits the config, so only the vocabulary is off
+        model = DualEncoder(ModelConfig.from_json_dict(meta["model"]), seed=0)
         bad = tmp_path / "bad.bin"
-        _write_checkpoint(bad, list(tensors.items()))
+        save_checkpoint(str(bad), model, TrainConfig.from_json_dict(meta["train"]), epoch=1)
         assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
         assert "does not match the caption vocabulary" in capsys.readouterr().err
 
-    def test_tensor_name_not_utf8_is_io_error(self, dataset_dir, trained, tmp_path):
+    def test_flipped_header_byte_is_io_error(self, dataset_dir, trained, tmp_path, capsys):
         ckpt, _ = trained
         blob = bytearray(ckpt.read_bytes())
-        blob[18] = 0xFF  # first byte of the first tensor name; names are outside the CRC
+        blob[14] ^= 0x01  # inside the JSON header, which the CRC covers
         bad = tmp_path / "bad.bin"
         bad.write_bytes(bytes(blob))
         assert self._eval(bad, dataset_dir, tmp_path) == EXIT_IO
         assert main(["inspect", str(bad)]) == EXIT_IO
+        assert capsys.readouterr().err.count("checksum mismatch") == 2
+
+    def test_format_version_1_is_io_error(self, dataset_dir, tmp_path, capsys):
+        # a version 1 file with no tensors: magic, version, count, CRC
+        old = tmp_path / "v1.bin"
+        old.write_bytes(b"OAVL0001" + struct.pack("<III", 1, 0, 0))
+        assert self._eval(old, dataset_dir, tmp_path) == EXIT_IO
+        assert main(["inspect", str(old)]) == EXIT_IO
+        message = "unsupported checkpoint format version 1: this build reads format version 2"
+        assert capsys.readouterr().err.count(message) == 2
 
 
 class TestInspect:
-    def test_huge_declared_tensor_is_io_error(self, tmp_path, capsys):
-        # a payload of 2**62 floats is declared but never allocated
-        out = io.BytesIO()
-        out.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, 1))
-        _serialize_tensor(out, "w", bytes(16), 0, (2**31, 2**31))
+    def test_huge_declared_tensor_is_io_error(self, trained, tmp_path, capsys):
+        # a header of 2**32 - 1 bytes is declared but never read or allocated
+        meta, payload = checkpoint_parts(trained[0].read_bytes())
         bad = tmp_path / "huge.bin"
-        bad.write_bytes(out.getvalue())
+        bad.write_bytes(checkpoint_file(meta, payload, header_len=2**32 - 1))
         assert main(["inspect", str(bad)]) == EXIT_IO
         assert "truncated checkpoint" in capsys.readouterr().err
 
     def test_lists_model_tensors(self, trained, capsys):
         ckpt, _ = trained
         assert main(["inspect", str(ckpt)]) == EXIT_OK
-        out = capsys.readouterr().out
-        lines = [line.split("\t") for line in out.strip().splitlines()]
-        names = {line[0] for line in lines}
-        assert "image.conv1.weight" in names
-        assert "log_temperature" in names
-        assert "optim.image.conv1.weight.m" in names
-        assert "meta.config_json" in names
+        lines = [line.split("\t") for line in capsys.readouterr().out.strip().splitlines()]
+        shapes = {line[0]: line[1] for line in lines}
+        assert shapes["image.conv1.weight"] == "16x1x3x3"
+        assert shapes["log_temperature"] == shapes["optim.log_temperature.v"] == "scalar"
+        assert "optim.image.conv1.weight.m" in shapes
+        assert len(shapes) == len(lines) == 3 * len(parameter_shapes(ModelConfig()))
+        assert all(len(line) == 3 and len(line[2]) == 8 for line in lines)
 
     def test_unknown_command_exits_one(self):
         assert main(["frobnicate"]) == EXIT_VALIDATION

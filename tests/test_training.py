@@ -2,7 +2,6 @@ import io
 import json
 import os
 import re
-import struct
 import sys
 import tracemalloc
 import zlib
@@ -20,7 +19,6 @@ from oavl.seeding import make_rng
 from oavl.synth import PgmError, SynthConfig, generate_dataset, read_pgm, write_pgm
 from oavl.training import (
     CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointError,
     TrainConfig,
@@ -33,10 +31,17 @@ from oavl.training import (
     save_checkpoint,
     signature_groups,
     train_step,
-    _read_checkpoint_tensors,
 )
 
-from conftest import NOT_UTF8, broken_json_objects, make_record, spliced, truncated
+from conftest import (
+    NOT_UTF8,
+    broken_json_objects,
+    checkpoint_file,
+    checkpoint_parts,
+    make_record,
+    spliced,
+    truncated,
+)
 
 VOCAB = build_vocabulary()
 
@@ -434,7 +439,7 @@ class TestCheckpoint:
         blob = bytearray(open(path, "rb").read())
         blob[len(blob) // 2] ^= 0xFF
         open(path, "wb").write(bytes(blob))
-        with pytest.raises(CheckpointError, match="checksum|truncated|dtype|unexpected"):
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
             load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -454,43 +459,40 @@ class TestCheckpoint:
 
     def test_listing_matches_parameter_names(self, tmp_path):
         path, model, _cfg = self._saved(tmp_path)
-        names = [name for name, _dims, _crc in checkpoint_tensor_listing(path)]
-        for parameter_name in model.parameters():
-            assert parameter_name in names
-            assert f"optim.{parameter_name}.m" in names
-        assert "meta.config_json" in names
+        params = model.parameters()
+        slots = [(name, p.data) for name, p in params.items()]
+        slots += [
+            (f"optim.{name}.{attr}", getattr(p, attr)) for name, p in params.items() for attr in "mv"
+        ]
+        expected = [
+            (name, a.shape, zlib.crc32(np.asarray(a, dtype="<f4").tobytes())) for name, a in slots
+        ]
+        assert checkpoint_tensor_listing(path) == expected
+
+    @pytest.mark.parametrize("spread", ["uniform", "distinct"])
+    def test_step_counts_round_trip_exactly(self, spread, tmp_path):
+        # 2**24 + 1 is the first count a float32 cannot hold
+        path, model, train_cfg = self._saved(tmp_path)
+        rng = np.random.default_rng(7)
+        for p in model.parameters().values():
+            p.t = 2**24 + 1 if spread == "uniform" else int(rng.integers(2**24, 2**40 + 1))
+        save_checkpoint(path, model, train_cfg, epoch=3)
+        loaded = load_checkpoint(path).model
+        assert {n: p.t for n, p in model.parameters().items()} == {
+            n: q.t for n, q in loaded.parameters().items()
+        }
 
 
 # --- hostile checkpoints: every malformed file ends in CheckpointError --------
 
 
-META = b"meta.config_json"
-
-
 @pytest.fixture(scope="module")
-def checkpoint_rows(tmp_path_factory):
-    """(name, dtype, dims, payload) of each tensor of a saved tiny model."""
-    path = str(tmp_path_factory.mktemp("ckpt-fuzz") / "model.bin")
-    save_checkpoint(path, DualEncoder(tiny_model_cfg(), seed=2), TrainConfig(seed=2), epoch=1)
-    return [
-        (name.encode("utf-8"), dtype, dims, payload)
-        for name, (dtype, dims, payload) in _read_checkpoint_tensors(path).items()
-    ]
-
-
-def _checkpoint_file(rows, count=None) -> bytes:
-    """Checkpoint bytes holding ``rows``, with the payload CRC recomputed so
-    that an edit reaches the parser instead of failing the checksum."""
-    out = io.BytesIO()
-    out.write(CHECKPOINT_MAGIC)
-    out.write(struct.pack("<II", CHECKPOINT_VERSION, len(rows) if count is None else count))
-    crc = 0
-    for name, dtype, dims, payload in rows:
-        out.write(struct.pack("<H", len(name)) + name + struct.pack("<BB", dtype, len(dims)))
-        out.write(b"".join(struct.pack("<I", d) for d in dims))
-        out.write(payload)
-        crc = zlib.crc32(payload, crc)
-    return out.getvalue() + struct.pack("<I", crc & 0xFFFFFFFF)
+def checkpoint_bytes(tmp_path_factory):
+    """The JSON header bytes and the payload of a saved tiny model."""
+    path = tmp_path_factory.mktemp("ckpt-fuzz") / "model.bin"
+    save_checkpoint(str(path), DualEncoder(tiny_model_cfg(), seed=2), TrainConfig(seed=2), epoch=1)
+    meta, payload = checkpoint_parts(path.read_bytes())
+    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8"), payload
 
 
 @st.composite
@@ -505,58 +507,38 @@ def edited_meta(draw, payload: bytes) -> bytes:
     return draw(truncated(payload))
 
 
-def _edited_checkpoint(draw, rows) -> bytes:
-    """A valid checkpoint after 1-2 drawn edits of its config JSON or its
-    tensor headers: a tensor renamed, dropped or duplicated, a dtype or shape
-    changed (with or without a payload of the new size), a step count
-    rewritten, or the declared tensor count changed."""
-    rows = list(rows)
-    meta = next(payload for name, _dtype, _dims, payload in rows if name == META)
-    count = None
+def _edited_checkpoint(draw, header: bytes, payload: bytes) -> bytes:
+    """A valid checkpoint after 1-2 drawn edits: its header JSON, its u32
+    header length, its payload cut or grown by k bytes, bytes after its CRC,
+    or its magic. The CRC is recomputed over the other edits, so they reach
+    the parser instead of failing the checksum."""
+    original, magic, header_len, trailing = header, CHECKPOINT_MAGIC, None, b""
     for _ in range(draw(st.integers(1, 2))):
-        kind = draw(
-            st.sampled_from(("meta", "name", "drop", "copy", "dtype", "dims", "step", "count"))
-        )
-        i = draw(st.integers(0, len(rows) - 1))
-        name, dtype, dims, payload = rows[i]
+        kind = draw(st.sampled_from(("meta", "length", "cut", "grow", "trailing", "magic")))
         if kind == "meta":
-            edited = draw(edited_meta(meta))
-            rows = [(r[0], r[1], (len(edited),), edited) if r[0] == META else r for r in rows]
-        elif kind == "name":
-            rows[i] = (draw(st.binary(max_size=12)), dtype, dims, payload)
-        elif kind == "drop":
-            del rows[i]
-        elif kind == "copy":
-            rows.insert(draw(st.integers(0, len(rows))), rows[i])
-        elif kind == "dtype":
-            rows[i] = (name, draw(st.integers(0, 255)), dims, payload)
-        elif kind == "dims":
-            new = tuple(draw(st.lists(st.integers(0, 6), max_size=4)))
-            if draw(st.booleans()):  # a payload of the new size, so only the shape is wrong
-                payload = bytes(int(np.prod(new)) * (4 if dtype == 0 else 1))
-            else:
-                new = tuple(draw(st.lists(st.integers(0, 2**32 - 1), max_size=4)))
-            rows[i] = (name, dtype, new, payload)
-        elif kind == "step":
-            steps = [j for j, r in enumerate(rows) if r[0].endswith(b".t")]
-            if steps:
-                j = draw(st.sampled_from(steps))
-                value = draw(st.floats(width=32))
-                rows[j] = rows[j][:3] + (struct.pack("<f", value),)
+            header = draw(edited_meta(original))
+        elif kind == "length":
+            near = st.integers(0, len(header) + 2 * len(payload))
+            header_len = draw(st.one_of(near, st.integers(0, 2**32 - 1)))
+        elif kind == "cut":
+            payload = payload[: max(0, len(payload) - draw(st.integers(1, 64)))]
+        elif kind == "grow":
+            payload += draw(st.binary(min_size=1, max_size=64))
+        elif kind == "trailing":
+            trailing = draw(st.binary(min_size=1, max_size=8))
         else:
-            count = draw(st.integers(0, 2 * len(rows) + 2))
-        if not rows:
-            break
-    return _checkpoint_file(rows, count)
+            old = st.sampled_from([b"OAVL0001", b"OAVL9999", CHECKPOINT_MAGIC.lower()])
+            magic = draw(st.one_of(old, st.binary(min_size=8, max_size=8)))
+    return checkpoint_file(header, payload, header_len, magic) + trailing
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_edited_checkpoint_loads_or_raises_checkpoint_error(
-    tmp_path_factory, checkpoint_rows, data
+    tmp_path_factory, checkpoint_bytes, data
 ):
     path = tmp_path_factory.getbasetemp() / "edited.bin"
-    path.write_bytes(_edited_checkpoint(data.draw, checkpoint_rows))
+    path.write_bytes(_edited_checkpoint(data.draw, *checkpoint_bytes))
     for read in (load_checkpoint, checkpoint_tensor_listing):
         try:
             read(str(path))
@@ -569,33 +551,24 @@ def test_edited_checkpoint_loads_or_raises_checkpoint_error(
     [b"[" * 100_000, b'{"a": ' * 100_000, b"1" * 5000],
     ids=["deep-array", "deep-object", "long-int"],
 )
-def test_config_json_past_the_parser_limits_is_checkpoint_error(tmp_path, checkpoint_rows, meta):
-    rows = [
-        (name, dtype, (len(meta),), meta) if name == META else (name, dtype, dims, payload)
-        for name, dtype, dims, payload in checkpoint_rows
-    ]
+def test_config_json_past_the_parser_limits_is_checkpoint_error(tmp_path, checkpoint_bytes, meta):
     path = tmp_path / "limits.bin"
-    path.write_bytes(_checkpoint_file(rows))
+    path.write_bytes(checkpoint_file(meta, checkpoint_bytes[1]))
     with pytest.raises(CheckpointError, match="malformed checkpoint config"):
         load_checkpoint(str(path))
 
 
-def test_config_declaring_a_huge_layer_is_rejected_before_allocation(tmp_path, checkpoint_rows):
-    # the stored shapes are checked against the config before the model is
+def test_config_declaring_a_huge_layer_is_rejected_before_allocation(tmp_path, checkpoint_bytes):
+    # the payload's size is checked against the config before the model is
     # built; building it first would ask numpy for a 2**40-row embedding table
-    meta = next(payload for name, _dtype, _dims, payload in checkpoint_rows if name == META)
-    config = json.loads(meta)
+    header, payload = checkpoint_bytes
+    config = json.loads(header)
     config["model"]["vocab_size"] = 2**40
-    meta = json.dumps(config).encode("utf-8")
-    rows = [
-        (name, dtype, (len(meta),), meta) if name == META else (name, dtype, dims, payload)
-        for name, dtype, dims, payload in checkpoint_rows
-    ]
     path = tmp_path / "huge-vocab.bin"
-    path.write_bytes(_checkpoint_file(rows))
+    path.write_bytes(checkpoint_file(config, payload))
     tracemalloc.start()
     try:
-        with pytest.raises(CheckpointError, match="'text.token_embedding' has unexpected"):
+        with pytest.raises(CheckpointError, match="payload holds"):
             load_checkpoint(str(path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
