@@ -374,7 +374,7 @@ def grad_cam(
     weight = model.param("proj.image.weight").data
     # the image head (mean pool, linear, l2_normalize) and its gradient for
     # the cosine with the prompt, in the ops and order of nn's graph
-    scale = np.asarray(1.0 / (h * w), dtype=model.dtype)  # tmean's factor
+    scale = np.asarray(1.0 / (h * w), dtype=model.dtype)  # mean_pool's factor
     pooled = acts.sum(axis=(1, 2)) * scale
     z = pooled @ weight + model.param("proj.image.bias").data
     d_z = nn.l2_normalize_grad(z, prompt_vec[None, :].astype(model.dtype))

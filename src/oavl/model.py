@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 
@@ -116,7 +116,9 @@ class DualEncoder:
     [N, H, W] images read as one channel, three stride-2 3x3 conv+relu
     stages and a global mean pool. Text encoder: token + position
     embeddings as a one-row image [N, 1, L, D], two 1x3 convolutions over
-    the token axis, mean pool over non-pad positions.
+    the token axis, mean pool over non-pad positions. Each encoder is one
+    graph node per stage: the position add rides in the embedding node and
+    the pad mask in the pool node, so a caption batch takes 4.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -127,6 +129,19 @@ class DualEncoder:
             (name, Parameter(np.asarray(_initial_value(name, shape, cfg, seed), dtype=dtype)))
             for name, shape in parameter_shapes(cfg).items()
         )
+
+    @classmethod
+    def from_arrays(cls, cfg: ModelConfig, arrays: Mapping[str, np.ndarray]) -> "DualEncoder":
+        """A float32 model whose parameters take ``arrays``' values, one per
+        ``parameter_shapes`` name and of its shape, with fresh Adam state.
+        It draws no init."""
+        model = cls.__new__(cls)
+        model.cfg, model.dtype = cfg.validate(), np.float32
+        model._params = OrderedDict(
+            (name, Parameter(np.asarray(arrays[name], dtype=model.dtype)))
+            for name in parameter_shapes(cfg)
+        )
+        return model
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -171,15 +186,12 @@ class DualEncoder:
         if idx.ndim != 2 or idx.shape[1] != self.cfg.max_len:
             raise nn.ShapeError(f"expected tokens of shape [N, {self.cfg.max_len}]")
         # a caption is a one-row channels-last image [N, 1, L, D]
-        x = nn.embedding(self._params["text.token_embedding"], idx[:, None])
-        x = nn.add(x, self._params["text.pos_embedding"])
+        x = nn.embedding(
+            self._params["text.token_embedding"], idx[:, None], self._params["text.pos_embedding"]
+        )
         x = self._conv_block(x, "text.conv1", stride=1)
         x = self._conv_block(x, "text.conv2", stride=1)
-
-        mask = (idx != self.cfg.pad_index).astype(self.dtype)[:, None, :, None]
-        counts = np.maximum(mask.sum(axis=(1, 2)), 1.0).astype(self.dtype)
-        total = nn.tsum(nn.mul(x, Tensor(mask)), axis=(1, 2))
-        return nn.mul(total, Tensor(1.0 / counts))
+        return nn.mean_pool(x, (idx != self.cfg.pad_index)[:, None, :, None])
 
     def project(self, embeddings: Tensor, modality: str) -> Tensor:
         """Linear head + l2 normalization; rows come out unit-norm."""

@@ -11,7 +11,10 @@ Parameter is a leaf Tensor that also holds its Adam state, so ops take it
 directly. Spatial data is channels-last [N, H, W, C]: images as they are,
 captions as one-row images [N, 1, L, D], so one conv2d, relu included,
 serves both encoders; it reads its padded input through a window view and
-adds its input gradient into stride-phase planes. Adam and l2_normalize use
+adds its input gradient into stride-phase planes. A node keeps only arrays
+its gradient rules read: conv2d reads relu's mask back from its output,
+embedding adds a positions tensor into its gathered rows, and mean_pool
+applies a pad mask and the count in one node. Adam and l2_normalize use
 fixed constants, the Kingma-Ba defaults: beta1 = 0.9, beta2 = 0.999 and
 eps = 1e-8.
 """
@@ -250,15 +253,41 @@ def tmean(a: TensorLike, axis=None) -> Tensor:
     return mul(tsum(at, axis=axis), 1.0 / count)
 
 
-def mean_pool(a: TensorLike) -> Tensor:
-    """Global spatial mean of channels-last [N, H, W, C] to [N, C]."""
+def mean_pool(a: TensorLike, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Spatial mean of channels-last [N, H, W, C] to [N, C], in one node.
+
+    With a 0/1 ``mask`` [N, H, W, 1], each row averages only the positions
+    its mask keeps: the sum of a * mask times 1 / max(count, 1), so a row
+    the mask drops entirely pools to zero. Without one it is
+    ``tmean(a, axis=(1, 2))``, bit for bit. Neither form keeps a product.
+    """
     at = as_tensor(a)
     if at.ndim != 4:
         raise ShapeError("mean_pool expects [N, H, W, C]")
-    return tmean(at, axis=(1, 2))
+    if mask is None:
+        scale = np.asarray(1.0 / (at.shape[1] * at.shape[2]), dtype=at.dtype)
+        total = at.data.sum(axis=(1, 2))
+    else:
+        mask = np.asarray(mask, dtype=at.dtype)
+        if mask.shape != at.shape[:3] + (1,):
+            raise ShapeError(f"mean_pool mask shape {mask.shape} does not match {at.shape}")
+        scale = 1.0 / np.maximum(mask.sum(axis=(1, 2)), 1.0)
+        total = (at.data * mask).sum(axis=(1, 2))
+
+    def d_a(g):
+        g = np.expand_dims(g * scale, (1, 2))
+        return np.broadcast_to(g, at.shape) if mask is None else g * mask
+
+    return _op(total * scale, (at,), (d_a,))
 
 
-def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
+def embedding(weight: Tensor, indices: np.ndarray, positions: Optional[Tensor] = None) -> Tensor:
+    """Rows of ``weight`` gathered at ``indices``, plus ``positions`` if given.
+
+    ``positions`` must broadcast to the gathered shape. It is added in place
+    into the gathered rows, so the one node stands for
+    ``add(embedding(weight, indices), positions)`` and keeps one array.
+    """
     idx = np.asarray(indices)
     if idx.size and (idx.min() < 0 or idx.max() >= weight.shape[0]):
         raise IndexError("embedding index out of range")
@@ -277,7 +306,11 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
         grad[sorted_idx[starts]] = np.add.reduceat(rows, starts, axis=0)
         return grad
 
-    return _op(weight.data[idx], (weight,), (d_weight,))
+    value = weight.data[idx]
+    if positions is None:
+        return _op(value, (weight,), (d_weight,))
+    value += positions.data
+    return _op(value, (weight, positions), (d_weight, lambda g: g))
 
 
 def _windows(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -320,16 +353,18 @@ def conv2d(x: TensorLike, kernel: TensorLike, bias: TensorLike, stride: int = 1)
     k_flat = kt.data.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c)
     y = (cols @ k_flat.T).reshape(n, h_out, w_out, c_out)
     y += bt.data
-    mask = y > 0
-    _record_branch(mask)
     np.maximum(y, 0, out=y)
+    # relu's output is positive exactly where its input was, so the rule
+    # reads its mask from y, which the node holds anyway
+    if _branch_trace is not None:
+        _record_branch(y > 0)
     g_relu = None
 
     def through_relu(g):
         # relu's rule, computed once for the three parents' rules
         nonlocal g_relu
         if g_relu is None:
-            g_relu = g * mask
+            g_relu = g * (y > 0)
         return g_relu
 
     # the padded input gradient as s x s stride-phase planes (Shi et al.

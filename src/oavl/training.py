@@ -478,12 +478,13 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{model_cfg.pad_index}) does not match the caption vocabulary "
             f"(vocab_size {vocab_size}, pad_index {Vocabulary.pad_index})"
         )
-    model = DualEncoder(model_cfg, seed=train_cfg.seed)
-    for _slot, name, attr, shape, chunk in chunks:
-        values = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float32)
-        setattr(model.param(name), attr, values)
-    for name, t in steps.items():
-        model.param(name).t = t
+    arrays = {
+        (name, attr): np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float32)
+        for _slot, name, attr, shape, chunk in chunks
+    }
+    model = DualEncoder.from_arrays(model_cfg, {name: arrays[name, "data"] for name in steps})
+    for name, p in model.parameters().items():
+        p.m, p.v, p.t = arrays[name, "m"], arrays[name, "v"], steps[name]
     return Checkpoint(model=model, train_config=train_cfg, epoch=epoch)
 
 

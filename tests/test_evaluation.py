@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,31 @@ class TestEmbed:
         width = model.cfg.proj_dim if project else model.cfg.embed_dim
         assert batched.shape == (70, width)
         np.testing.assert_allclose(batched, np.concatenate(single), rtol=0, atol=1e-6)
+
+
+    @pytest.mark.parametrize("modality, bound_mib", [("image", 27.5), ("text", 16.0)])
+    def test_one_default_size_batch_allocates_within_its_bound(self, modality, bound_mib):
+        # tracemalloc peak of one EMBED_BATCH at the default ModelConfig:
+        # images 28.1 MiB and texts 17.5 MiB while the graph kept relu masks,
+        # token gathers and pad-masked products no gradient rule reads, and
+        # 26.4 and 15.2 MiB since
+        model = DualEncoder(ModelConfig(vocab_size=len(VOCAB)), seed=0)
+        rng = make_rng(23)
+        if modality == "image":
+            shape = (EMBED_BATCH, model.cfg.height, model.cfg.width)
+            images = list(rng.random(shape, dtype=np.float32))
+            embed = lambda: embed_images(model, images)
+        else:
+            kinds = list(TemplateKind)
+            texts = [render_caption(sample_record(rng), kinds[i % 3]) for i in range(EMBED_BATCH)]
+            embed = lambda: embed_texts(model, VOCAB, texts)
+        tracemalloc.start()
+        try:
+            embed()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestZeroShot:

@@ -344,6 +344,24 @@ def _case_embedding(rng):
     return [w], lambda: weighted_sum(nn.embedding(w, idx), np.random.default_rng(0))
 
 
+def _case_embedding_positions(rng):
+    # token rows plus a position table, as encode_text embeds a caption; the
+    # second row reads only row 0, the pad token
+    w = Tensor(rng.standard_normal((7, 5)), requires_grad=True)
+    pos = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    idx = rng.integers(0, 7, (3, 1, 4))
+    idx[1] = 0
+    return [w, pos], lambda: weighted_sum(nn.embedding(w, idx, pos), np.random.default_rng(0))
+
+
+def _case_mean_pool_masked(rng):
+    # a caption batch's pad mask: one row keeps nothing, one keeps everything
+    a = Tensor(rng.standard_normal((3, 1, 6, 4)), requires_grad=True)
+    mask = rng.random((3, 1, 6, 1)) < 0.5
+    mask[0], mask[1] = False, True
+    return [a], lambda: weighted_sum(nn.mean_pool(a, mask), np.random.default_rng(0))
+
+
 def _conv2d_case(rng, x_shape, k_shape, stride):
     x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
     k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
@@ -406,7 +424,9 @@ PRIMITIVE_CASES = {
     "sum": _case_sum,
     "mean": _case_mean,
     "mean_pool": _case_mean_pool,
+    "mean_pool_masked": _case_mean_pool_masked,
     "embedding": _case_embedding,
+    "embedding_positions": _case_embedding_positions,
     "embedding_shared": _case_embedding_shared,
     "conv2d": _case_conv2d,
     "conv2d_image": _case_conv2d_image,
@@ -485,6 +505,86 @@ def test_tmean_matches_the_counted_mean_bit_for_bit(shape, axis):
         assert got.tobytes() == want.tobytes()
     if shape[0] == 0:
         assert results[0][0].shape == (0, 5)
+
+
+def _value_and_grads(build, arrays, weights):
+    """build(*tensors)'s value, and each tensor's gradient of its weighted sum."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    y = build(*tensors)
+    nn.tsum(nn.mul(y, Tensor(weights))).backward()
+    return [y.data] + [t.grad for t in tensors]
+
+
+def _pad_batch(rng, dtype):
+    """Token ids [4, 1, 9] over 11 rows, pad (0) at each row's tail and
+    everywhere in row 2, and their [4, 1, 9, 6] embedded activations."""
+    idx = rng.integers(1, 11, (4, 1, 9))
+    for row, length in enumerate((9, 5, 0, 1)):
+        idx[row, :, length:] = 0
+    return idx, rng.standard_normal((4, 1, 9, 6)).astype(dtype)
+
+
+def _counted_masked_mean(x, mask):
+    """The masked mean as encode_text built it from general ops."""
+    counts = np.maximum(mask.sum(axis=(1, 2)), 1.0).astype(x.dtype)
+    return nn.mul(nn.tsum(nn.mul(x, Tensor(mask)), axis=(1, 2)), Tensor(1.0 / counts))
+
+
+# Each reshaped op, built with the data as the model passes it, against the
+# composition of general ops it stands for: (fused, composed, input arrays)
+def _fused_cases(rng, dtype):
+    idx, x = _pad_batch(rng, dtype)
+    w, pos = rng.standard_normal((11, 6)).astype(dtype), rng.standard_normal((9, 6)).astype(dtype)
+    pad = idx[..., None] != 0
+    image = rng.standard_normal((3, 4, 5, 6)).astype(dtype)
+    return {
+        "embedding+positions": (
+            lambda w, p: nn.embedding(w, idx, p),
+            lambda w, p: nn.add(nn.embedding(w, idx), p),
+            (w, pos),
+        ),
+        "masked mean_pool": (
+            lambda x: nn.mean_pool(x, pad),
+            lambda x: _counted_masked_mean(x, pad.astype(dtype)),
+            (x,),
+        ),
+        "mean_pool": (lambda a: nn.mean_pool(a), lambda a: nn.tmean(a, axis=(1, 2)), (image,)),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", ["embedding+positions", "masked mean_pool", "mean_pool"])
+def test_fused_op_matches_its_composition_bit_for_bit(op, dtype):
+    rng = np.random.default_rng(13)
+    fused, composed, arrays = _fused_cases(rng, dtype)[op]
+    weights = rng.standard_normal(fused(*[Tensor(a) for a in arrays]).shape).astype(dtype)
+    got = _value_and_grads(fused, arrays, weights)
+    want = _value_and_grads(composed, arrays, weights)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    if op == "masked mean_pool":
+        # the all-pad row pools to zero and passes no gradient back
+        assert not got[0][2].any() and not got[1][2].any()
+
+
+def test_mean_pool_rejects_a_mask_of_another_shape():
+    with pytest.raises(ShapeError, match="mask shape"):
+        nn.mean_pool(np.zeros((2, 1, 5, 3)), np.ones((2, 5)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_gradients_are_the_same_with_a_branch_trace_open(dtype):
+    rng = np.random.default_rng(14)
+    arrays = [rng.standard_normal(s).astype(dtype) for s in ((2, 7, 6, 3), (4, 3, 3, 3), (4,))]
+    weights = rng.standard_normal((2, 4, 3, 4)).astype(dtype)
+    conv = lambda x, k, b: nn.conv2d(x, k, b, stride=2)
+    closed = _value_and_grads(conv, arrays, weights)
+    with nn.branch_trace() as trace:
+        opened = _value_and_grads(conv, arrays, weights)
+    assert trace == [np.packbits(opened[0].reshape(-1) > 0).tobytes()]
+    for o, c in zip(opened, closed):
+        assert o.tobytes() == c.tobytes()
 
 
 OPERAND_SHAPES = {
