@@ -74,11 +74,7 @@ def _load_config(path: Optional[str]) -> Dict:
 
 def _merged(args: argparse.Namespace, config: Dict, key: str, default):
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+    return value if value is not None else config.get(key, default)
 
 
 def _build_config(cls, args: argparse.Namespace, config: Dict):
@@ -255,9 +251,18 @@ def _load_eval_inputs(args):
     return checkpoint, manifest, vocab
 
 
+def _model_images(checkpoint, manifest, entries):
+    """The entries' float32 [H, W] images by id, each checked against the model's size."""
+    from .synth import pgm_to_float
+    from .training import _load_samples
+
+    cfg = checkpoint.model.cfg
+    samples = _load_samples(manifest, entries, (cfg.height, cfg.width))
+    return dict(zip((e.record.id for e in entries), pgm_to_float(samples)))
+
+
 def _cmd_eval(args, config) -> int:
     from . import evaluation
-    from .synth import read_pgm
 
     if getattr(args, "eval_task", None) is None:
         raise UsageError("eval needs a task: zero-shot or retrieval")
@@ -266,20 +271,21 @@ def _cmd_eval(args, config) -> int:
     entries = manifest.split(split)
     if not entries:
         raise UsageError(f"manifest has no {split!r} split")
-    images = {e.record.id: read_pgm(manifest.resolve_image(e)) for e in entries}
+    images = _model_images(checkpoint, manifest, entries)
 
     report = evaluation.EvalReport()
     if args.eval_task == "zero-shot":
         report.zero_shot = evaluation.zero_shot_eval(checkpoint.model, entries, images, vocab)
     else:
+        # only the options the user set: evaluation holds the defaults
+        given = {key: _merged(args, config, key, None) for key in ("k", "baseline_draws")}
         report.retrieval = evaluation.retrieval_eval(
             checkpoint.model,
             entries,
             images,
             vocab,
-            k=_merged(args, config, "k", 10),
-            baseline_draws=_merged(args, config, "baseline_draws", 1000),
             seed=checkpoint.train_config.seed,
+            **{key: value for key, value in given.items() if value is not None},
         )
     evaluation.export_report(report, args.out)
     return EXIT_OK
@@ -287,14 +293,13 @@ def _cmd_eval(args, config) -> int:
 
 def _cmd_saliency(args, config) -> int:
     from . import evaluation
-    from .synth import read_pgm
 
     checkpoint, manifest, vocab = _load_eval_inputs(args)
     try:
         entry = manifest.by_id(args.image_id)
     except KeyError:
         raise UsageError(f"manifest {args.manifest}: no entry has id {args.image_id!r}") from None
-    image = read_pgm(manifest.resolve_image(entry))
+    image = _model_images(checkpoint, manifest, [entry])[entry.record.id]
     saliency = evaluation.grad_cam(
         checkpoint.model, image, args.prompt, vocab, image_id=args.image_id
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Mapping, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -119,29 +119,21 @@ class DualEncoder:
     the token axis, mean pool over non-pad positions. Each encoder is one
     graph node per stage: the position add rides in the embedding node and
     the pad mask in the pool node, so a caption batch takes 4.
+
+    The model holds ``params``, a Parameter per ``parameter_shapes`` name, when
+    given them (as load does), else it draws each one's seeded initial value.
     """
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32, params=None):
         cfg.validate()
         self.cfg = cfg
         self.dtype = dtype
-        self._params: "OrderedDict[str, Parameter]" = OrderedDict(
-            (name, Parameter(np.asarray(_initial_value(name, shape, cfg, seed), dtype=dtype)))
-            for name, shape in parameter_shapes(cfg).items()
-        )
-
-    @classmethod
-    def from_arrays(cls, cfg: ModelConfig, arrays: Mapping[str, np.ndarray]) -> "DualEncoder":
-        """A float32 model whose parameters take ``arrays``' values, one per
-        ``parameter_shapes`` name and of its shape, with fresh Adam state.
-        It draws no init."""
-        model = cls.__new__(cls)
-        model.cfg, model.dtype = cfg.validate(), np.float32
-        model._params = OrderedDict(
-            (name, Parameter(np.asarray(arrays[name], dtype=model.dtype)))
-            for name in parameter_shapes(cfg)
-        )
-        return model
+        if params is None:
+            params = {
+                name: Parameter(np.asarray(_initial_value(name, shape, cfg, seed), dtype=dtype))
+                for name, shape in parameter_shapes(cfg).items()
+            }
+        self._params = OrderedDict((name, params[name]) for name in parameter_shapes(cfg))
 
     # -- parameter bookkeeping ------------------------------------------------
 

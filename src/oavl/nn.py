@@ -6,9 +6,9 @@ parent, leaving any broadcast of that parent in place; ``_op`` builds
 every graph node from them and sums each gradient to its parent's shape.
 ``_accumulate`` sets its dtype, and copies a parent's first gradient only
 when it may share memory with the output gradient it came from, so no two
-tensors share a buffer. A
-Parameter is a leaf Tensor that also holds its Adam state, so ops take it
-directly. Spatial data is channels-last [N, H, W, C]: images as they are,
+tensors share a buffer. A Parameter is a leaf Tensor that also holds
+its Adam state, given or zero, so ops take it directly. Spatial data is
+channels-last [N, H, W, C]: images as they are,
 captions as one-row images [N, 1, L, D], so one conv2d, relu included,
 serves both encoders; it reads its padded input through a window view and
 adds its input gradient into stride-phase planes. A node keeps only arrays
@@ -468,15 +468,15 @@ def softmax_cross_entropy(logits: TensorLike, targets: np.ndarray) -> Tensor:
 
 
 class Parameter(Tensor):
-    """A trainable leaf tensor with its Adam state (m, v, step count t)."""
+    """A trainable leaf tensor with its Adam state (m, v, step count t), zero unless given."""
 
     __slots__ = ("m", "v", "t")
 
-    def __init__(self, data: np.ndarray):
+    def __init__(self, data: np.ndarray, m=None, v=None, t: int = 0):
         super().__init__(data, requires_grad=True)
-        self.m = np.zeros_like(self.data)
-        self.v = np.zeros_like(self.data)
-        self.t = 0
+        self.m = np.zeros_like(self.data) if m is None else m
+        self.v = np.zeros_like(self.data) if v is None else v
+        self.t = t
 
 
 class MissingGradientError(RuntimeError):

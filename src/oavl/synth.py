@@ -229,6 +229,12 @@ def _canonical_render(
     return img, masks
 
 
+def _shift_slices(shape: Tuple[int, int], dy: int, dx: int) -> Tuple[tuple, tuple]:
+    """The (dst, src) slices moving an [h, w] array by (dy, dx), clipped: out[dst] = in[src]."""
+    dst = tuple(slice(max(0, d), min(n, n + d)) for n, d in zip(shape, (dy, dx)))
+    return dst, tuple(slice(s.start - d, s.stop - d) for s, d in zip(dst, (dy, dx)))
+
+
 def render_image(record: OaScoreRecord, cfg: SynthConfig, seed: int) -> np.ndarray:
     """Render a record into a float32 [height, width] image in [0, 1].
 
@@ -254,10 +260,8 @@ def render_image(record: OaScoreRecord, cfg: SynthConfig, seed: int) -> np.ndarr
         dy = int(rng.integers(-cfg.max_shift, cfg.max_shift + 1))
         dx = int(rng.integers(-cfg.max_shift, cfg.max_shift + 1))
         shifted = np.full_like(img, _BACKGROUND)
-        h, w = img.shape
-        ys0, ys1 = max(0, dy), min(h, h + dy)
-        xs0, xs1 = max(0, dx), min(w, w + dx)
-        shifted[ys0:ys1, xs0:xs1] = img[ys0 - dy : ys1 - dy, xs0 - dx : xs1 - dx]
+        dst, src = _shift_slices(img.shape, dy, dx)
+        shifted[dst] = img[src]
         img = shifted
 
     if cfg.noise_sigma > 0:
@@ -276,12 +280,10 @@ def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     if radius <= 0:
         return mask
     out = np.zeros_like(mask)
-    h, w = mask.shape
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
-            ys0, ys1 = max(0, dy), min(h, h + dy)
-            xs0, xs1 = max(0, dx), min(w, w + dx)
-            out[ys0:ys1, xs0:xs1] |= mask[ys0 - dy : ys1 - dy, xs0 - dx : xs1 - dx]
+            dst, src = _shift_slices(mask.shape, dy, dx)
+            out[dst] |= mask[src]
     return out
 
 

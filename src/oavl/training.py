@@ -223,7 +223,7 @@ def _load_samples(
     """The entries' 16-bit PGM samples as one [N, H, W] array, row i from entries[i].
 
     Every image must have ``shape`` (by default the first image's); another
-    size raises TrainingError naming the file, before any step runs.
+    size raises TrainingError naming the file, before any image is used.
     """
     samples = None if shape is None else np.empty((len(entries), *shape), dtype=np.uint16)
     for row, entry in enumerate(entries):
@@ -235,7 +235,7 @@ def _load_samples(
         if image.shape != shape:
             raise TrainingError(
                 f"{path}: image is {image.shape[1]}x{image.shape[0]}, "
-                f"the train split's first is {shape[1]}x{shape[0]}"
+                f"the size expected here is {shape[1]}x{shape[0]}"
             )
         samples[row] = image
     return samples
@@ -419,7 +419,7 @@ def save_checkpoint(path: str, model: DualEncoder, cfg: TrainConfig, epoch: int)
 
 def _read_checkpoint(path: str):
     """Verify the file; returns (model config, train config, epoch, step counts,
-    and (slot, parameter, attribute, shape, bytes) per payload slot)."""
+    and each payload slot's name and read-only ``<f4`` array, in file order)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 8:
@@ -436,8 +436,7 @@ def _read_checkpoint(path: str):
     payload_at = 12 + header_len
     if payload_at > len(blob) - 4:
         raise CheckpointError("truncated checkpoint")
-    view = memoryview(blob)
-    if zlib.crc32(view[8:-4]) != struct.unpack_from("<I", blob, len(blob) - 4)[0]:
+    if zlib.crc32(memoryview(blob)[8:-4]) != struct.unpack_from("<I", blob, len(blob) - 4)[0]:
         raise CheckpointError("checksum mismatch: checkpoint is corrupted")
     try:
         header = json.loads(blob[12:payload_at].decode("utf-8"))
@@ -456,20 +455,22 @@ def _read_checkpoint(path: str):
     # the config fixes the payload's size, so a header declaring huge layers
     # fails here, before anything is allocated
     slots = _checkpoint_slots(model_cfg)
-    ends = list(accumulate((4 * math.prod(shape) for *_, shape in slots), initial=payload_at))
-    if ends[-1] != len(blob) - 4:
+    ends = list(accumulate((math.prod(shape) for *_, shape in slots), initial=0))
+    if payload_at + 4 * ends[-1] != len(blob) - 4:
         raise CheckpointError(
             f"checkpoint payload holds {len(blob) - 4 - payload_at} bytes, "
-            f"its config implies {ends[-1] - payload_at}"
+            f"its config implies {4 * ends[-1]}"
         )
-    chunks = [(*slot, view[a:b]) for slot, a, b in zip(slots, ends, ends[1:])]
-    return model_cfg, train_cfg, epoch, steps, chunks
+    flat = np.frombuffer(blob, dtype="<f4", count=ends[-1], offset=payload_at)
+    arrays = {slot: flat[a:b].reshape(shape)
+              for (slot, *_, shape), a, b in zip(slots, ends, ends[1:])}
+    return model_cfg, train_cfg, epoch, steps, arrays
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read and verify a checkpoint: its magic, CRC, header and payload size,
     and that its config's vocabulary is the caption grammar's."""
-    model_cfg, train_cfg, epoch, steps, chunks = _read_checkpoint(path)
+    model_cfg, train_cfg, epoch, steps, arrays = _read_checkpoint(path)
     # token indices come from this build's caption vocabulary
     vocab_size = len(build_vocabulary())
     if model_cfg.pad_index != Vocabulary.pad_index or model_cfg.vocab_size != vocab_size:
@@ -478,18 +479,16 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{model_cfg.pad_index}) does not match the caption vocabulary "
             f"(vocab_size {vocab_size}, pad_index {Vocabulary.pad_index})"
         )
-    arrays = {
-        (name, attr): np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float32)
-        for _slot, name, attr, shape, chunk in chunks
+    f32 = {slot: a.astype(np.float32) for slot, a in arrays.items()}  # one writable copy each
+    params = {
+        name: nn.Parameter(f32[name], f32[f"optim.{name}.m"], f32[f"optim.{name}.v"], t)
+        for name, t in steps.items()
     }
-    model = DualEncoder.from_arrays(model_cfg, {name: arrays[name, "data"] for name in steps})
-    for name, p in model.parameters().items():
-        p.m, p.v, p.t = arrays[name, "m"], arrays[name, "v"], steps[name]
-    return Checkpoint(model=model, train_config=train_cfg, epoch=epoch)
+    return Checkpoint(DualEncoder(model_cfg, params=params), train_cfg, epoch)
 
 
 def checkpoint_tensor_listing(path: str) -> List[Tuple[str, Tuple[int, ...], int]]:
     """(slot name, shape, CRC32 of its float32 bytes) per payload slot, in
     file order; verifies the file."""
-    *_, chunks = _read_checkpoint(path)
-    return [(slot, shape, zlib.crc32(chunk)) for slot, _name, _attr, shape, chunk in chunks]
+    *_, arrays = _read_checkpoint(path)
+    return [(slot, a.shape, zlib.crc32(a)) for slot, a in arrays.items()]

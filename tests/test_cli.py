@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from oavl import training
 from oavl.captions import split_text
 from oavl.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from oavl.model import DualEncoder, ModelConfig, parameter_shapes
-from oavl.synth import SynthConfig, read_manifest, read_pgm
+from oavl.synth import SynthConfig, read_manifest, read_pgm, write_pgm
 from oavl.training import TrainConfig, load_checkpoint, save_checkpoint
 
 from conftest import (
@@ -484,6 +485,30 @@ class TestEvalAndSaliency:
         )
         assert code == EXIT_OK
         assert (out / "saliency" / f"{record_id}.pgm").exists()
+
+    @pytest.mark.parametrize("task", ["zero-shot", "retrieval", "saliency"])
+    def test_image_of_another_size_than_the_model_is_validation_error(
+        self, task, dataset_dir, trained, tmp_path, capsys
+    ):
+        # eval and saliency read images through fit's size-checked loader
+        ckpt, _ = trained
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = data / "manifest.jsonl"
+        entry = read_manifest(str(manifest)).split("test")[0]
+        path = os.path.join(str(data), entry.image_path)
+        write_pgm(path, np.zeros((40, 32)))
+        out = tmp_path / "out"
+        command = ["saliency", "--id", entry.record.id, "--prompt", "severe osteoarthritis."]
+        if task != "saliency":
+            command = ["eval", task]
+        code = main(
+            [*command, "--checkpoint", str(ckpt), "--manifest", str(manifest), "--out", str(out)]
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: image is 32x40, the size expected here is 32x32\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "saliency"])
     def test_keeps_freed_heap_before_the_first_encode(

@@ -427,6 +427,22 @@ class TestCheckpoint:
             q = loaded.param(name)
             assert q.data.dtype == np.float32 and q.data.flags.writeable
             assert q.data.tobytes() == p.data.tobytes()
+        # a model given its parameters holds those very objects and draws nothing
+        given = DualEncoder(loaded.cfg, params=loaded.parameters())
+        assert all(given.param(name) is p for name, p in loaded.parameters().items())
+
+    def test_loaded_model_takes_the_same_adam_step(self, tmp_path):
+        # bit-equal only if every loaded array is writable and none shares memory
+        path, model, train_cfg = self._saved(tmp_path)
+        loaded = load_checkpoint(path).model
+        images, pos, neg = random_batch(model.cfg, seed=1)
+        losses = train_step(loaded, images, pos, neg, train_cfg)
+        assert losses == train_step(model, images, pos, neg, train_cfg)
+        for name, p in model.parameters().items():
+            q = loaded.param(name)
+            for attr in ("data", "m", "v"):
+                assert getattr(q, attr).tobytes() == getattr(p, attr).tobytes(), (name, attr)
+            assert q.t == p.t == 2
 
     def test_save_load_save_byte_identical(self, tmp_path):
         path, _model, train_cfg = self._saved(tmp_path)
