@@ -264,6 +264,10 @@ def build_vocabulary() -> Vocabulary:
     return Vocabulary(tokens=tuple(tokens))
 
 
+# the grammar's vocabulary size: the model's default and the one a checkpoint must match
+VOCAB_SIZE = len(build_vocabulary())
+
+
 def split_text(text: str) -> List[str]:
     """Lowercase and split into word/punctuation tokens (".", ",", ":" separate)."""
     return _TOKEN_RE.findall(text.lower())

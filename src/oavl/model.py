@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from . import nn
-from .captions import DEFAULT_MAX_LEN
+from .captions import DEFAULT_MAX_LEN, VOCAB_SIZE
 from .configs import check_field_types, check_json_keys, is_json_type
 from .nn import Parameter, Tensor
 from .seeding import make_rng
@@ -28,22 +28,22 @@ TAU_MIN = 1e-3
 TAU_MAX = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """Frozen; each field's type and range are checked when built (vocab_size: the grammar's)."""
     height: int = 64
     width: int = 64
     channels: Tuple[int, int, int] = (16, 32, 64)
     embed_dim: int = 64
     proj_dim: int = 32
-    vocab_size: int = 0
+    vocab_size: int = VOCAB_SIZE
     max_len: int = DEFAULT_MAX_LEN
     pad_index: int = 0
     # similarity divisor: logits = S / tau; 0.07 starts training sharp and
     # inside the clamp range so the gradient can move it
     temperature_init: float = 0.07
 
-    def validate(self) -> "ModelConfig":
-        """Check every field's type and range; a checkpoint's config arrives as JSON."""
+    def __post_init__(self) -> None:
         check_field_types(self, ValueError)
         if len(self.channels) != 3:
             raise ValueError("the image encoder has exactly 3 conv stages")
@@ -60,7 +60,6 @@ class ModelConfig:
         tau = self.temperature_init
         if not TAU_MIN <= tau <= TAU_MAX:
             raise ValueError(f"temperature_init must be in [{TAU_MIN}, {TAU_MAX}], got {tau!r}")
-        return self
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -68,7 +67,7 @@ class ModelConfig:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModelConfig":
         check_json_keys(cls, obj)
-        return cls(**{**obj, "channels": tuple(obj["channels"])}).validate()
+        return cls(**{**obj, "channels": tuple(obj["channels"])})
 
 
 def parameter_shapes(cfg: ModelConfig) -> "OrderedDict[str, Tuple[int, ...]]":
@@ -125,7 +124,6 @@ class DualEncoder:
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32, params=None):
-        cfg.validate()
         self.cfg = cfg
         self.dtype = dtype
         if params is None:

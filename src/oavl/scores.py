@@ -163,6 +163,8 @@ def validate_record(record: OaScoreRecord) -> OaScoreRecord:
         raise ScoreValidationError("id", "must be a non-empty string")
     if _CONTROL_CHAR.search(record.id):
         raise ScoreValidationError("id", f"must not contain a control character, got {record.id!r}")
+    if "/" in record.id or "\\" in record.id:
+        raise ScoreValidationError("id", f"must not contain a path separator, got {record.id!r}")
     if record.side not in SIDES:
         raise ScoreValidationError("side", f"must be one of {SIDES}")
     if not is_json_type(record.age, int):

@@ -52,15 +52,16 @@ class ManifestError(ValueError):
         self.line = line
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
+    """Frozen; each field's type and range are checked when built."""
     height: int = 64
     width: int = 64
     noise_sigma: float = 0.03
     max_shift: int = 2
     seed: int = 0
 
-    def validate(self) -> "SynthConfig":
+    def __post_init__(self) -> None:
         check_field_types(self, SynthConfigError)
         if self.height < 32 or self.width < 32:
             raise SynthConfigError("height and width must be at least 32")
@@ -79,7 +80,6 @@ class SynthConfig:
                 f"max_shift {self.max_shift} moves the knee out of a "
                 f"{self.height}x{self.width} image; at most {limit}"
             )
-        return self
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,6 @@ def render_image(record: OaScoreRecord, cfg: SynthConfig, seed: int) -> np.ndarr
     global +-max_shift integer shift, and the additive Gaussian noise all
     come from the seed.
     """
-    cfg.validate()
     geo = _geometry(cfg.height, cfg.width)
     img, masks = _canonical_render(record, geo)
 
@@ -297,7 +296,6 @@ def ground_truth_region(
     the pixels the feature changed, not their exact set.
     Raises ValueError when the feature is absent (grade 0 / flag false).
     """
-    cfg.validate()
     name, comp = feature
     if name not in FEATURE_BY_NAME:
         raise ValueError(f"unknown feature {name!r}")
@@ -490,7 +488,6 @@ def generate_dataset(
     item derives its own seed from (cfg.seed, index), so generation is
     reproducible item by item.
     """
-    cfg.validate()
     if n < 10:
         raise ValueError("n must be at least 10")
     counts = split_counts(n, split_ratios)

@@ -30,6 +30,7 @@ import numpy as np
 from . import evaluation, nn
 from .captions import (
     TEMPLATE_ORDER,
+    VOCAB_SIZE,
     TemplateKind,
     Vocabulary,
     build_vocabulary,
@@ -54,8 +55,9 @@ class CheckpointError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Frozen; each field's type and range are checked when built."""
     epochs: int = 20
     batch_size: int = 32
     lr_image: float = 1e-4
@@ -67,8 +69,7 @@ class TrainConfig:
     include_zero_grades: bool = True
     seed: int = 0
 
-    def validate(self) -> "TrainConfig":
-        """Check every field's type and range; a checkpoint's config arrives as JSON."""
+    def __post_init__(self) -> None:
         check_field_types(self, ValueError)
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
@@ -83,7 +84,6 @@ class TrainConfig:
             raise ValueError("neg_weight must be non-negative and finite")
         if not 0.0 <= self.shuffle_prob <= 1.0:
             raise ValueError("shuffle_prob must be in [0, 1]")
-        return self
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -91,7 +91,7 @@ class TrainConfig:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TrainConfig":
         check_json_keys(cls, obj)
-        return cls(**obj).validate()
+        return cls(**obj)
 
 
 @dataclass
@@ -308,7 +308,6 @@ def fit(
     Deterministic for a fixed seed in single-thread mode. Validation
     zero-shot accuracy is recorded every epoch when a val split exists.
     """
-    cfg.validate()
     _keep_freed_heap()
     train_entries = manifest.split("train")
     if not train_entries:
@@ -331,7 +330,7 @@ def fit(
     val_ids = [entry.record.id for entry in val_entries]
 
     if model_cfg is None:
-        model_cfg = ModelConfig(height=shape[0], width=shape[1], vocab_size=len(vocab))
+        model_cfg = ModelConfig(height=shape[0], width=shape[1])
     model = DualEncoder(model_cfg, seed=cfg.seed)
 
     probe_records, probe_kinds, probe_negs = _probe_set(manifest, cfg)
@@ -472,12 +471,11 @@ def load_checkpoint(path: str) -> Checkpoint:
     and that its config's vocabulary is the caption grammar's."""
     model_cfg, train_cfg, epoch, steps, arrays = _read_checkpoint(path)
     # token indices come from this build's caption vocabulary
-    vocab_size = len(build_vocabulary())
-    if model_cfg.pad_index != Vocabulary.pad_index or model_cfg.vocab_size != vocab_size:
+    if model_cfg.pad_index != Vocabulary.pad_index or model_cfg.vocab_size != VOCAB_SIZE:
         raise CheckpointError(
             f"checkpoint config (vocab_size {model_cfg.vocab_size}, pad_index "
             f"{model_cfg.pad_index}) does not match the caption vocabulary "
-            f"(vocab_size {vocab_size}, pad_index {Vocabulary.pad_index})"
+            f"(vocab_size {VOCAB_SIZE}, pad_index {Vocabulary.pad_index})"
         )
     f32 = {slot: a.astype(np.float32) for slot, a in arrays.items()}  # one writable copy each
     params = {

@@ -233,6 +233,16 @@ class TestCaptions:
         out = tmp_path / "captions.jsonl"
         assert main(["captions", "--record", str(src), "--out", str(out)]) == EXIT_VALIDATION
 
+    def test_record_id_with_path_separator_is_validation_error(self, tmp_path, capsys):
+        obj = make_record().to_json_dict()
+        obj["id"] = "../escaped"
+        src = tmp_path / "record.json"
+        src.write_text(json.dumps(obj))
+        out = tmp_path / "captions.jsonl"
+        assert main(["captions", "--record", str(src), "--out", str(out)]) == EXIT_VALIDATION
+        assert "path separator" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_needs_exactly_one_source(self, tmp_path):
         out = tmp_path / "c.jsonl"
         assert main(["captions", "--out", str(out)]) == EXIT_VALIDATION
@@ -304,20 +314,41 @@ class TestTrain:
         assert len(payload["epochs"]) == 1
         assert "initial_neg_cosine" in payload
 
-    def test_determinism_across_runs(self, dataset_dir, tmp_path):
-        blobs = []
+    def test_determinism_across_runs(self, tmp_path, monkeypatch, capsys):
+        # the whole pipeline twice at --threads 1: every file written, and
+        # inspect's listing, byte for byte
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")  # restored after the test
+        runs = []
         for name in ("a", "b"):
-            ckpt = tmp_path / f"{name}.bin"
-            code = main(
+            out = tmp_path / name
+            manifest, ckpt = str(out / "data" / "manifest.jsonl"), str(out / "model.bin")
+            evaluated = ["--checkpoint", ckpt, "--manifest", manifest]
+            commands = [
+                ["synth", "--n", "120", "--seed", "7", "--out-dir", str(out / "data")],
                 [
-                    "train", "--manifest", str(dataset_dir / "manifest.jsonl"),
-                    "--out", str(ckpt), "--epochs", "1", "--batch-size", "4",
-                    "--seed", "11", "--quiet",
-                ]
-            )
-            assert code == EXIT_OK
-            blobs.append(ckpt.read_bytes())
-        assert blobs[0] == blobs[1]
+                    "train", "--manifest", manifest, "--out", ckpt, "--epochs", "2",
+                    "--report", str(out / "report.json"), "--quiet",
+                ],
+                ["eval", "zero-shot", *evaluated, "--out", str(out / "zero-shot")],
+                ["eval", "retrieval", *evaluated, "--out", str(out / "retrieval")],
+                [
+                    "saliency", *evaluated, "--id", "rec-00000",
+                    "--prompt", "severe osteoarthritis.", "--out", str(out / "saliency"),
+                ],
+                ["inspect", ckpt],
+            ]
+            capsys.readouterr()
+            for command in commands:
+                assert main(["--threads", "1", *command]) == EXIT_OK, command
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            runs.append((files, capsys.readouterr().out))
+        (files_a, listing_a), (files_b, listing_b) = runs
+        assert sorted(files_a) == sorted(files_b)
+        assert len(files_a) > 120
+        for path, blob in files_a.items():
+            assert blob == files_b[path], path
+        assert listing_a and listing_a == listing_b
 
     def test_config_file_with_flag_override(self, dataset_dir, tmp_path):
         config = tmp_path / "config.json"
@@ -485,6 +516,31 @@ class TestEvalAndSaliency:
         )
         assert code == EXIT_OK
         assert (out / "saliency" / f"{record_id}.pgm").exists()
+
+    @pytest.mark.parametrize("record_id", ["../../escaped", "..\\..\\escaped"])
+    def test_manifest_id_with_path_separator_is_io_error(
+        self, record_id, dataset_dir, trained, tmp_path, capsys
+    ):
+        # saliency names its file after the id: out/run/saliency/../../escaped.pgm
+        # would land in out/
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = data / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        obj = json.loads(lines[0])
+        obj["id"] = record_id
+        manifest.write_text("\n".join([json.dumps(obj)] + lines[1:]) + "\n")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "saliency", "--checkpoint", str(trained[0]), "--manifest", str(manifest),
+                "--id", record_id, "--prompt", "severe osteoarthritis.",
+                "--out", str(out / "run"),
+            ]
+        )
+        assert code == EXIT_IO
+        assert "line 1: id: must not contain a path separator" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("task", ["zero-shot", "retrieval", "saliency"])
     def test_image_of_another_size_than_the_model_is_validation_error(

@@ -63,7 +63,16 @@ class TestValidation:
             validate_record(record)
         assert exc.value.field == "id"
 
-    @pytest.mark.parametrize("record_id", ["rec 1", "rec-é", "knee/7", "\u00a0r"])
+    @pytest.mark.parametrize("record_id", ["knee/7", "../../escaped", "..\\x", "\\"])
+    def test_id_with_path_separator_rejected(self, record_id):
+        # ids name image and saliency files, so one must not reach outside their directory
+        record = make_record()
+        record.id = record_id
+        with pytest.raises(ScoreValidationError, match="path separator") as exc:
+            validate_record(record)
+        assert exc.value.field == "id"
+
+    @pytest.mark.parametrize("record_id", ["rec 1", "rec-é", "\u00a0r"])
     def test_printable_id_accepted(self, record_id):
         record = make_record()
         record.id = record_id

@@ -421,12 +421,11 @@ class TestGenerateDataset:
         img_b = (tmp_path / "b" / "images" / "rec-00000.pgm").read_bytes()
         assert img_a == img_b
 
-    @pytest.mark.parametrize(
-        "cfg", [SynthConfig(noise_sigma=float("inf")), SynthConfig(max_shift=100)]
-    )
+    @pytest.mark.parametrize("cfg", [{"noise_sigma": float("inf")}, {"max_shift": 100}])
     def test_rejected_config_writes_nothing(self, cfg, tmp_path):
+        # the config refuses the fields when built, before anything is written
         with pytest.raises(SynthConfigError):
-            generate_dataset(12, cfg, str(tmp_path / "x"))
+            generate_dataset(12, SynthConfig(**cfg), str(tmp_path / "x"))
         assert not (tmp_path / "x").exists()
 
     def test_too_small_rejected(self, tmp_path):
