@@ -56,14 +56,6 @@ _AGGREGATED = tuple(
 LOCATION_ORDER = ("jm", "jl", "fm", "fl", "tm", "tl")
 
 
-class CaptionParseError(ValueError):
-    """Text outside the caption grammar; ``position`` is a character offset."""
-
-    def __init__(self, position: int, message: str):
-        super().__init__(f"at char {position}: {message}")
-        self.position = position
-
-
 def _state_word(feature: Feature, value) -> str:
     """How a finding is stated: its grade word, or "sign" / "no sign" for a flag."""
     if feature.graded:
@@ -161,25 +153,10 @@ def render_caption(
     return " ".join(sentences)
 
 
-def _split_into_sentences(text: str) -> List[Tuple[str, int]]:
-    """Split caption text into (sentence, char offset) pairs."""
-    if not text:
-        raise CaptionParseError(0, "empty caption")
-    if not text.endswith("."):
-        raise CaptionParseError(len(text) - 1, "caption must end with a period")
-    sentences = []
-    pos = 0
-    for part in text[:-1].split(". "):
-        if not part:
-            raise CaptionParseError(pos, "empty sentence")
-        sentences.append((part, pos))
-        pos += len(part) + 2
-    return sentences
-
-
 def shuffle_sentences(text: str, rng: np.random.Generator) -> str:
-    """Permute a caption's sentences with the given generator; the multiset is unchanged."""
-    parts = [s for s, _ in _split_into_sentences(text)]
+    """Permute a rendered caption's sentences with the given generator; the multiset is unchanged."""
+    # rendered sentences meet at ". ", the boundary tokenize splits on too
+    parts = text[:-1].split(". ")
     order = rng.permutation(len(parts))
     return ". ".join(parts[i] for i in order) + "."
 

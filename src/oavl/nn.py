@@ -21,7 +21,6 @@ eps = 1e-8.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -29,26 +28,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     pass
-
-
-# Optional trace of data-dependent branches (relu/clamp masks), used by the
-# tests' gradient checker to detect kink crossings between probe evaluations.
-_branch_trace: Optional[List[bytes]] = None
-
-
-@contextlib.contextmanager
-def branch_trace():
-    global _branch_trace
-    prev, _branch_trace = _branch_trace, []
-    try:
-        yield _branch_trace
-    finally:
-        _branch_trace = prev
-
-
-def _record_branch(mask: np.ndarray) -> None:
-    if _branch_trace is not None:
-        _branch_trace.append(np.packbits(mask.reshape(-1)).tobytes())
 
 
 class Tensor:
@@ -231,7 +210,6 @@ def exp(a: TensorLike) -> Tensor:
 def clamp(a: TensorLike, lo: float, hi: float) -> Tensor:
     at = as_tensor(a)
     mask = (at.data >= lo) & (at.data <= hi)
-    _record_branch(mask)
     value = np.clip(at.data, lo, hi)
     return _op(value, (at,), (lambda g: np.where(mask, g, 0.0),))
 
@@ -356,8 +334,6 @@ def conv2d(x: TensorLike, kernel: TensorLike, bias: TensorLike, stride: int = 1)
     np.maximum(y, 0, out=y)
     # relu's output is positive exactly where its input was, so the rule
     # reads its mask from y, which the node holds anyway
-    if _branch_trace is not None:
-        _record_branch(y > 0)
     g_relu = None
 
     def through_relu(g):

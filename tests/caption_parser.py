@@ -2,17 +2,44 @@
 
 The caption grammar is closed, so every sentence ``oavl.captions`` renders
 can be read back. Tests and acceptance criterion 3 use this parser to check
-the renderer; the pipeline never parses a caption.
+the renderer; the pipeline never parses a caption. The parser alone checks
+caption text and reports where it leaves the grammar, as a character offset:
+the pipeline's sentence split (``shuffle_sentences``, ``tokenize``) only
+ever sees captions the grammar rendered.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from oavl.captions import CaptionParseError, _AGGREGATED, _split_into_sentences
+from oavl.captions import _AGGREGATED
 from oavl.scores import COMPARTMENT_NAMES, FEATURES, GRADE_WORDS, Feature
+
+class CaptionParseError(ValueError):
+    """Text outside the caption grammar; ``position`` is a character offset."""
+
+    def __init__(self, position: int, message: str):
+        super().__init__(f"at char {position}: {message}")
+        self.position = position
+
+
+def _split_into_sentences(text: str) -> List[Tuple[str, int]]:
+    """Split caption text into (sentence, char offset) pairs."""
+    if not text:
+        raise CaptionParseError(0, "empty caption")
+    if not text.endswith("."):
+        raise CaptionParseError(len(text) - 1, "caption must end with a period")
+    sentences = []
+    pos = 0
+    for part in text[:-1].split(". "):
+        if not part:
+            raise CaptionParseError(pos, "empty sentence")
+        sentences.append((part, pos))
+        pos += len(part) + 2
+    return sentences
+
 
 WORD_TO_GRADE = {word: g for g, word in enumerate(GRADE_WORDS)}
 

@@ -1,16 +1,54 @@
 """Test oracle: check reverse-mode gradients against central differences.
 
 Tests and acceptance criterion 1 run every backward rule of ``oavl.nn``,
-and the model's losses, through it; the pipeline never calls it.
+and the model's losses, through it; the pipeline never calls it. A probe
+that crosses a relu or clamp kink estimates no derivative, so the checker
+traces the two ops' branch masks itself: ``branch_trace`` swaps
+``nn.conv2d`` and ``nn.clamp`` for wrappers that record them, which sees
+every call because the model and the tests reach both through ``nn``.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from oavl.nn import Tensor, branch_trace
+from oavl import nn
+from oavl.nn import Tensor
+
+
+def _packed(mask: np.ndarray) -> bytes:
+    return np.packbits(mask.reshape(-1)).tobytes()
+
+
+@contextlib.contextmanager
+def branch_trace():
+    """Record the packed relu mask of each conv2d and the in-range mask of
+    each clamp, in call order, while the block runs.
+
+    conv2d's relu output is positive exactly where its input was, so the
+    wrapper reads the relu mask from the output.
+    """
+    trace: List[bytes] = []
+    conv2d, clamp = nn.conv2d, nn.clamp
+
+    def traced_conv2d(*args, **kwargs):
+        out = conv2d(*args, **kwargs)
+        trace.append(_packed(out.data > 0))
+        return out
+
+    def traced_clamp(a, lo, hi):
+        x = nn.as_tensor(a).data
+        trace.append(_packed((x >= lo) & (x <= hi)))
+        return clamp(a, lo, hi)
+
+    nn.conv2d, nn.clamp = traced_conv2d, traced_clamp
+    try:
+        yield trace
+    finally:
+        nn.conv2d, nn.clamp = conv2d, clamp
 
 
 def finite_difference_check(

@@ -17,7 +17,7 @@ from oavl.nn import Tensor
 from oavl.scores import sample_record
 from oavl.seeding import make_rng
 
-from gradcheck import finite_difference_check
+from gradcheck import branch_trace, finite_difference_check
 
 VOCAB = build_vocabulary()
 
@@ -300,6 +300,16 @@ def build_fd_model_and_loss(seed):
         return total
 
     return model, f
+
+
+def test_branch_trace_sees_every_conv2d_and_clamp_of_the_model_loss():
+    # 3 image convs, 2 text convs for each of the positive and negative
+    # batches, and the temperature's clamp: a module that imported either op
+    # by name would bypass the wrappers and shorten the trace
+    _model, f = build_fd_model_and_loss(0)
+    with branch_trace() as trace:
+        f()
+    assert len(trace) == 3 + 2 * 2 + 1
 
 
 def test_full_model_gradient_matches_finite_differences():

@@ -16,7 +16,7 @@ from oavl.nn import (
     adam_step,
 )
 
-from gradcheck import finite_difference_check
+from gradcheck import branch_trace, finite_difference_check
 
 SEEDS = list(range(20))
 
@@ -580,11 +580,37 @@ def test_conv2d_gradients_are_the_same_with_a_branch_trace_open(dtype):
     weights = rng.standard_normal((2, 4, 3, 4)).astype(dtype)
     conv = lambda x, k, b: nn.conv2d(x, k, b, stride=2)
     closed = _value_and_grads(conv, arrays, weights)
-    with nn.branch_trace() as trace:
+    with branch_trace() as trace:
         opened = _value_and_grads(conv, arrays, weights)
     assert trace == [np.packbits(opened[0].reshape(-1) > 0).tobytes()]
     for o, c in zip(opened, closed):
         assert o.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_clamp_gradients_are_the_same_with_a_branch_trace_open(dtype):
+    rng = np.random.default_rng(15)
+    arrays = [rng.standard_normal((3, 5)).astype(dtype)]
+    weights = rng.standard_normal((3, 5)).astype(dtype)
+    clamp = lambda a: nn.clamp(a, -0.5, 0.5)
+    closed = _value_and_grads(clamp, arrays, weights)
+    with branch_trace() as trace:
+        opened = _value_and_grads(clamp, arrays, weights)
+    in_range = (arrays[0] >= -0.5) & (arrays[0] <= 0.5)
+    assert in_range.any() and not in_range.all()
+    assert trace == [np.packbits(in_range.reshape(-1)).tobytes()]
+    for o, c in zip(opened, closed):
+        assert o.tobytes() == c.tobytes()
+
+
+def test_branch_trace_restores_the_ops_it_wraps_also_when_the_block_raises():
+    conv2d, clamp = nn.conv2d, nn.clamp
+    with branch_trace():
+        assert nn.conv2d is not conv2d and nn.clamp is not clamp
+    assert nn.conv2d is conv2d and nn.clamp is clamp
+    with pytest.raises(FloatingPointError), branch_trace():
+        raise FloatingPointError("loss is not finite")
+    assert nn.conv2d is conv2d and nn.clamp is clamp
 
 
 OPERAND_SHAPES = {
