@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 One binary, subcommand style: synth | captions | train | eval zero-shot |
-eval retrieval | saliency | inspect. A JSON config file supplies defaults;
-explicit flags win. Exit codes: 0 success, 1 validation error, 2 I/O error.
-Diagnostics go to stderr; all data goes to files (inspect prints tensor
-metadata to stdout).
+eval retrieval | saliency | inspect. A JSON config file, given as --config
+before the subcommand, supplies defaults; explicit flags win. Exit codes:
+0 success, 1 validation error, 2 I/O error. Diagnostics go to stderr; all
+data goes to files (inspect prints tensor metadata to stdout). The library
+computes and this module writes every report file.
 
 Heavy imports happen inside the handlers so that --threads can pin the
 BLAS thread count before numpy loads.
@@ -43,6 +44,13 @@ def _read_json(path: str, what: str):
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise UsageError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+
+
+def _write_json(path: str, obj) -> None:
+    """obj as JSON (sorted keys, indent 2, trailing newline), written atomically."""
+    from .synth import write_atomic
+
+    write_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def _load_config(path: Optional[str]) -> Dict:
@@ -106,13 +114,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", default=None, help="JSON config file")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add_config_flag(p):
-        # accepted after the subcommand too; wins over the global flag
-        p.add_argument("--config", dest="config_local", default=None,
-                       help="JSON config file")
-
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    add_config_flag(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None)
@@ -124,7 +126,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("captions", help="render caption bags to JSONL")
-    add_config_flag(p)
     p.add_argument("--record", default=None, help="record JSON file (object or array)")
     p.add_argument("--manifest", default=None)
     p.add_argument("--out", required=True)
@@ -134,7 +135,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_captions)
 
     p = sub.add_parser("train", help="train the dual encoder")
-    add_config_flag(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--report", default=None, help="training report JSON path")
@@ -154,7 +154,6 @@ def _build_parser() -> _Parser:
     eval_sub = p.add_subparsers(dest="eval_command", metavar="task")
     for task in ("zero-shot", "retrieval"):
         ep = eval_sub.add_parser(task)
-        add_config_flag(ep)
         ep.add_argument("--checkpoint", required=True)
         ep.add_argument("--manifest", required=True)
         ep.add_argument("--out", required=True)
@@ -165,7 +164,6 @@ def _build_parser() -> _Parser:
         ep.set_defaults(handler=_cmd_eval, eval_task=task)
 
     p = sub.add_parser("saliency", help="Grad-CAM map for one image and prompt")
-    add_config_flag(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--id", dest="image_id", required=True)
@@ -223,7 +221,7 @@ def _cmd_captions(args, config) -> int:
 
 
 def _cmd_train(args, config) -> int:
-    from .synth import read_manifest, write_atomic
+    from .synth import read_manifest
     from .training import TrainConfig, fit, save_checkpoint
 
     cfg = _build_config(TrainConfig, args, config)
@@ -232,8 +230,7 @@ def _cmd_train(args, config) -> int:
     model, report = fit(manifest, cfg, log=log)
     save_checkpoint(args.out, model, cfg, epoch=cfg.epochs)
     if args.report:
-        text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-        write_atomic(args.report, text.encode("utf-8"))
+        _write_json(args.report, report.to_json_dict())
     return EXIT_OK
 
 
@@ -263,9 +260,8 @@ def _model_images(checkpoint, manifest, entries):
 
 def _cmd_eval(args, config) -> int:
     from . import evaluation
+    from .synth import write_atomic
 
-    if getattr(args, "eval_task", None) is None:
-        raise UsageError("eval needs a task: zero-shot or retrieval")
     checkpoint, manifest, vocab = _load_eval_inputs(args)
     split = _merged(args, config, "split", "test")
     entries = manifest.split(split)
@@ -273,13 +269,12 @@ def _cmd_eval(args, config) -> int:
         raise UsageError(f"manifest has no {split!r} split")
     images = _model_images(checkpoint, manifest, entries)
 
-    report = evaluation.EvalReport()
     if args.eval_task == "zero-shot":
-        report.zero_shot = evaluation.zero_shot_eval(checkpoint.model, entries, images, vocab)
+        result = evaluation.zero_shot_eval(checkpoint.model, entries, images, vocab)
     else:
         # only the options the user set: evaluation holds the defaults
         given = {key: _merged(args, config, key, None) for key in ("k", "baseline_draws")}
-        report.retrieval = evaluation.retrieval_eval(
+        result = evaluation.retrieval_eval(
             checkpoint.model,
             entries,
             images,
@@ -287,12 +282,20 @@ def _cmd_eval(args, config) -> int:
             seed=checkpoint.train_config.seed,
             **{key: value for key, value in given.items() if value is not None},
         )
-    evaluation.export_report(report, args.out)
+    os.makedirs(args.out, exist_ok=True)
+    task = args.eval_task.replace("-", "_")
+    _write_json(os.path.join(args.out, "report.json"), {task: result.to_json_dict()})
+    if args.eval_task == "zero-shot":
+        lines = ["true\\pred," + ",".join(map(str, range(len(result.confusion)))) + "\n"]
+        for true_k, row in enumerate(result.confusion.tolist()):
+            lines.append(f"{true_k}," + ",".join(map(str, row)) + "\n")
+        write_atomic(os.path.join(args.out, "confusion.csv"), "".join(lines).encode("utf-8"))
     return EXIT_OK
 
 
 def _cmd_saliency(args, config) -> int:
     from . import evaluation
+    from .synth import write_pgm
 
     checkpoint, manifest, vocab = _load_eval_inputs(args)
     try:
@@ -303,8 +306,10 @@ def _cmd_saliency(args, config) -> int:
     saliency = evaluation.grad_cam(
         checkpoint.model, image, args.prompt, vocab, image_id=args.image_id
     )
-    report = evaluation.EvalReport(saliency=[(saliency, image)])
-    evaluation.export_report(report, args.out)
+    saliency_dir = os.path.join(args.out, "saliency")
+    os.makedirs(saliency_dir, exist_ok=True)
+    overlay = 0.5 * image + 0.5 * saliency.values
+    write_pgm(os.path.join(saliency_dir, f"{saliency.image_id}.pgm"), overlay)
     return EXIT_OK
 
 
@@ -327,7 +332,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "handler", None) is None:
             parser.print_usage(sys.stderr)
             return EXIT_VALIDATION
-        config = _load_config(getattr(args, "config_local", None) or args.config)
+        config = _load_config(args.config)
         return args.handler(args, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

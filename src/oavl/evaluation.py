@@ -5,18 +5,16 @@ ensemble per KL class and predicts by cosine against the projected image
 embedding; retrieval ranks a caption pool the same way; Grad-CAM weights
 the final conv activations by the pooled gradient of the image-prompt
 cosine, which it computes in closed form through the projection head
-without autodiff.
+without autodiff. This module only computes: the CLI writes every file.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +23,7 @@ from .captions import TemplateKind, Vocabulary, render_caption, split_text, toke
 from .model import DualEncoder
 from .scores import GRADE_MAX, grade_word
 from .seeding import make_rng
-from .synth import GroundTruthRegion, ManifestEntry, write_atomic, write_pgm
+from .synth import GroundTruthRegion, ManifestEntry
 
 N_CLASSES = GRADE_MAX + 1
 
@@ -43,6 +41,14 @@ class ZeroShotResult:
     confusion: np.ndarray  # [true KL, predicted KL]
     per_image: List[dict] = field(default_factory=list)
 
+    def to_json_dict(self) -> dict:
+        return {
+            "accuracy": self.accuracy,
+            "total": int(self.confusion.sum()),
+            "per_class_counts": self.confusion.sum(axis=1).astype(int).tolist(),
+            "per_image": self.per_image,
+        }
+
 
 @dataclass
 class RetrievalResult:
@@ -51,31 +57,13 @@ class RetrievalResult:
     hit_at: Dict[int, float] = field(default_factory=dict)
     per_image: List[dict] = field(default_factory=list)
 
-
-@dataclass
-class EvalReport:
-    zero_shot: Optional[ZeroShotResult] = None
-    retrieval: Optional[RetrievalResult] = None
-    saliency: List[Tuple[SaliencyMap, np.ndarray]] = field(default_factory=list)
-
     def to_json_dict(self) -> dict:
-        out: dict = {}
-        if self.zero_shot is not None:
-            total = int(self.zero_shot.confusion.sum())
-            out["zero_shot"] = {
-                "accuracy": self.zero_shot.accuracy,
-                "total": total,
-                "per_class_counts": self.zero_shot.confusion.sum(axis=1).astype(int).tolist(),
-                "per_image": self.zero_shot.per_image,
-            }
-        if self.retrieval is not None:
-            out["retrieval"] = {
-                "mean_top1_bleu4": self.retrieval.mean_top1_bleu4,
-                "random_baseline_bleu4": self.retrieval.random_baseline_bleu4,
-                "hit_at": {str(k): v for k, v in self.retrieval.hit_at.items()},
-                "per_image": self.retrieval.per_image,
-            }
-        return out
+        return {
+            "mean_top1_bleu4": self.mean_top1_bleu4,
+            "random_baseline_bleu4": self.random_baseline_bleu4,
+            "hit_at": {str(k): v for k, v in self.hit_at.items()},
+            "per_image": self.per_image,
+        }
 
 
 # --- batched embedding ----------------------------------------------------------
@@ -410,24 +398,3 @@ def localization_score(saliency: SaliencyMap, region: GroundTruthRegion) -> floa
     area_fraction = float(mask.mean())
     return (inside / total) / area_fraction
 
-
-# --- report export --------------------------------------------------------------
-
-
-def export_report(report: EvalReport, out_dir: str) -> None:
-    """Write report.json (sorted keys), confusion.csv, and saliency overlays."""
-    os.makedirs(out_dir, exist_ok=True)
-    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    write_atomic(os.path.join(out_dir, "report.json"), text.encode("utf-8"))
-    if report.zero_shot is not None:
-        lines = ["true\\pred," + ",".join(str(k) for k in range(N_CLASSES)) + "\n"]
-        for true_k in range(N_CLASSES):
-            row = ",".join(str(int(v)) for v in report.zero_shot.confusion[true_k])
-            lines.append(f"{true_k},{row}\n")
-        write_atomic(os.path.join(out_dir, "confusion.csv"), "".join(lines).encode("utf-8"))
-    if report.saliency:
-        saliency_dir = os.path.join(out_dir, "saliency")
-        os.makedirs(saliency_dir, exist_ok=True)
-        for saliency, image in report.saliency:
-            blended = 0.5 * image + 0.5 * saliency.values
-            write_pgm(os.path.join(saliency_dir, f"{saliency.image_id}.pgm"), blended)

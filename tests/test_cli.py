@@ -440,8 +440,13 @@ class TestEvalAndSaliency:
         )
         assert code == EXIT_OK
         payload = json.loads((out / "report.json").read_text())
-        assert "zero_shot" in payload
-        assert (out / "confusion.csv").exists()
+        counts = payload["zero_shot"]["per_class_counts"]
+        lines = (out / "confusion.csv").read_text().splitlines()
+        assert lines[0] == "true\\pred,0,1,2,3,4"
+        rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
+        assert [row[0] for row in rows] == list(range(5))
+        assert [sum(row[1:]) for row in rows] == counts
+        assert sum(counts) == payload["zero_shot"]["total"] > 0
 
     def test_retrieval_eval(self, dataset_dir, trained, tmp_path):
         ckpt, _ = trained
@@ -498,8 +503,9 @@ class TestEvalAndSaliency:
         assert "manifest has no 'val' split" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_eval_without_task(self, trained, dataset_dir):
+    def test_eval_without_task(self, capsys):
         assert main(["eval"]) == EXIT_VALIDATION
+        assert "usage" in capsys.readouterr().err.lower()
 
     def test_saliency_writes_overlay(self, dataset_dir, trained, tmp_path):
         ckpt, _ = trained
@@ -515,7 +521,8 @@ class TestEvalAndSaliency:
             ]
         )
         assert code == EXIT_OK
-        assert (out / "saliency" / f"{record_id}.pgm").exists()
+        written = [p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()]
+        assert written == [f"saliency/{record_id}.pgm"]
 
     @pytest.mark.parametrize("record_id", ["../../escaped", "..\\..\\escaped"])
     def test_manifest_id_with_path_separator_is_io_error(

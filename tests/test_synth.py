@@ -92,9 +92,9 @@ class TestRenderGeometry:
 
     def test_config_validation(self):
         with pytest.raises(SynthConfigError):
-            SynthConfig(height=16).validate()
+            SynthConfig(height=16)
         with pytest.raises(SynthConfigError):
-            SynthConfig(noise_sigma=-1).validate()
+            SynthConfig(noise_sigma=-1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -103,12 +103,12 @@ class TestRenderGeometry:
     def test_config_field_of_the_wrong_type(self, field, value):
         # a bool is no number, and only an int also passes as a float
         with pytest.raises(SynthConfigError, match=f"^{field} must be"):
-            SynthConfig(**{field: value}).validate()
+            SynthConfig(**{field: value})
 
     @pytest.mark.parametrize("sigma", [float("inf"), float("-inf"), float("nan")])
     def test_noise_sigma_must_be_finite(self, sigma):
         with pytest.raises(SynthConfigError, match="noise_sigma must be finite"):
-            SynthConfig(noise_sigma=sigma).validate()
+            SynthConfig(noise_sigma=sigma)
 
     @pytest.mark.parametrize("height, width, limit", [(64, 64, 14), (32, 32, 7), (200, 32, 15)])
     def test_max_shift_is_bounded_by_the_knee_layout(self, height, width, limit):
@@ -116,7 +116,7 @@ class TestRenderGeometry:
         for seed in range(100):  # these seeds draw both extreme shifts on each axis
             assert render_image(make_record(), cfg, seed=seed).shape == (height, width)
         with pytest.raises(SynthConfigError, match=f"at most {limit}$"):
-            SynthConfig(height=height, width=width, max_shift=limit + 1).validate()
+            SynthConfig(height=height, width=width, max_shift=limit + 1)
 
 
 class TestGroundTruth:

@@ -239,11 +239,11 @@ def test_steps_after_the_first_fault_in_no_fresh_pages():
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(batch_size=1).validate()
+            TrainConfig(batch_size=1)
         with pytest.raises(ValueError):
-            TrainConfig(lr_text=0.0).validate()
+            TrainConfig(lr_text=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(neg_weight=-1.0).validate()
+            TrainConfig(neg_weight=-1.0)
 
     def test_json_round_trip(self):
         cfg = TrainConfig(epochs=3, seed=9)
