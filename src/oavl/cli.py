@@ -260,7 +260,6 @@ def _model_images(checkpoint, manifest, entries):
 
 def _cmd_eval(args, config) -> int:
     from . import evaluation
-    from .synth import write_atomic
 
     checkpoint, manifest, vocab = _load_eval_inputs(args)
     split = _merged(args, config, "split", "test")
@@ -282,20 +281,26 @@ def _cmd_eval(args, config) -> int:
             seed=checkpoint.train_config.seed,
             **{key: value for key, value in given.items() if value is not None},
         )
-    os.makedirs(args.out, exist_ok=True)
-    task = args.eval_task.replace("-", "_")
-    _write_json(os.path.join(args.out, "report.json"), {task: result.to_json_dict()})
-    if args.eval_task == "zero-shot":
+    _write_eval_report(args.out, args.eval_task, result)
+    return EXIT_OK
+
+
+def _write_eval_report(out_dir: str, task: str, result) -> None:
+    """report.json under the task's key and, for zero-shot, confusion.csv."""
+    from .synth import write_atomic
+
+    os.makedirs(out_dir, exist_ok=True)
+    report = {task.replace("-", "_"): result.to_json_dict()}
+    _write_json(os.path.join(out_dir, "report.json"), report)
+    if task == "zero-shot":
         lines = ["true\\pred," + ",".join(map(str, range(len(result.confusion)))) + "\n"]
         for true_k, row in enumerate(result.confusion.tolist()):
             lines.append(f"{true_k}," + ",".join(map(str, row)) + "\n")
-        write_atomic(os.path.join(args.out, "confusion.csv"), "".join(lines).encode("utf-8"))
-    return EXIT_OK
+        write_atomic(os.path.join(out_dir, "confusion.csv"), "".join(lines).encode("utf-8"))
 
 
 def _cmd_saliency(args, config) -> int:
     from . import evaluation
-    from .synth import write_pgm
 
     checkpoint, manifest, vocab = _load_eval_inputs(args)
     try:
@@ -306,11 +311,18 @@ def _cmd_saliency(args, config) -> int:
     saliency = evaluation.grad_cam(
         checkpoint.model, image, args.prompt, vocab, image_id=args.image_id
     )
-    saliency_dir = os.path.join(args.out, "saliency")
+    _write_saliency_overlay(args.out, saliency, image)
+    return EXIT_OK
+
+
+def _write_saliency_overlay(out_dir: str, saliency, image) -> None:
+    """The map blended half and half with its image, as saliency/<id>.pgm."""
+    from .synth import write_pgm
+
+    saliency_dir = os.path.join(out_dir, "saliency")
     os.makedirs(saliency_dir, exist_ok=True)
     overlay = 0.5 * image + 0.5 * saliency.values
     write_pgm(os.path.join(saliency_dir, f"{saliency.image_id}.pgm"), overlay)
-    return EXIT_OK
 
 
 def _cmd_inspect(args, config) -> int:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oavl import nn
 from oavl.captions import TemplateKind, build_vocabulary, render_caption, split_text, tokenize
+from oavl.cli import _write_eval_report, _write_saliency_overlay
 from oavl.evaluation import (
     SaliencyMap,
     ZeroShotResult,
@@ -562,3 +563,30 @@ class TestExport:
         payload = json.loads(json.dumps(result.to_json_dict()))
         assert payload["total"] == 0
         assert payload["per_class_counts"] == [0] * 5
+
+    def test_reexport_is_byte_identical(self, tmp_path):
+        confusion = np.arange(25).reshape(5, 5)
+        result = ZeroShotResult(accuracy=0.2, confusion=confusion)
+        _write_eval_report(str(tmp_path / "a"), "zero-shot", result)
+        _write_eval_report(str(tmp_path / "b"), "zero-shot", result)
+        for name in ("report.json", "confusion.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_confusion_csv_row_sums_match_json(self, tmp_path):
+        rng = np.random.default_rng(10)
+        confusion = rng.integers(0, 9, (5, 5))
+        total = confusion.sum()
+        result = ZeroShotResult(accuracy=float(np.trace(confusion) / total), confusion=confusion)
+        _write_eval_report(str(tmp_path), "zero-shot", result)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        lines = (tmp_path / "confusion.csv").read_text().strip().splitlines()[1:]
+        assert len(lines) == 5
+        for true_k, line in enumerate(lines):
+            cells = [int(v) for v in line.split(",")[1:]]
+            assert sum(cells) == payload["zero_shot"]["per_class_counts"][true_k]
+
+    def test_saliency_overlay_written(self, tmp_path):
+        saliency = SaliencyMap(values=np.ones((16, 16)) * 0.5, prompt="p", image_id="img1")
+        image = np.zeros((16, 16), dtype=np.float32)
+        _write_saliency_overlay(str(tmp_path), saliency, image)
+        assert (tmp_path / "saliency" / "img1.pgm").exists()
